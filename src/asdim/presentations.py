@@ -211,8 +211,7 @@ def _parse_word_body(
             ps.next()
             g = resolve(t.text, t.pos)
             power = _parse_power(ps)
-            sign = 1 if power >= 0 else -1
-            letters.extend(Letter(g, sign) for _ in range(abs(power)))
+            letters.extend((Letter(g, 1 if power >= 0 else -1),) * abs(power))
             saw_term = True
         elif t.kind == "[":
             ps.next()

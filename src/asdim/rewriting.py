@@ -63,10 +63,23 @@ def split_free_part(p: Presentation) -> tuple[Presentation, list[Generator]]:
     return Presentation(core_gens, p.relator), free
 
 
+def _tally(r: Word) -> tuple[dict[int, int], dict[int, int]]:
+    """Occurrence counts and exponent sums by generator uid, taken in one
+    pass over r; generators absent from r have no key."""
+    occurrences: dict[int, int] = {}
+    sums: dict[int, int] = {}
+    for l in r.letters:
+        uid = l.gen.uid
+        occurrences[uid] = occurrences.get(uid, 0) + 1
+        sums[uid] = sums.get(uid, 0) + l.sign
+    return occurrences, sums
+
+
 def find_single_occurrence(p: Presentation) -> Generator | None:
     """First generator, in declaration order, occurring exactly once."""
+    occurrences, _ = _tally(p.relator)
     for g in p.generators:
-        if occurrence_count(p.relator, g) == 1:
+        if occurrences.get(g.uid) == 1:
             return g
     return None
 
@@ -75,8 +88,9 @@ def find_zero_exponent(p: Presentation) -> Generator | None:
     """First generator, in declaration order, that occurs in the relator
     with exponent sum zero.  Occurring with sum zero forces at least two
     occurrences."""
+    _, sums = _tally(p.relator)
     for g in p.generators:
-        if occurrence_count(p.relator, g) > 0 and exponent_sum(p.relator, g) == 0:
+        if sums.get(g.uid) == 0:
             return g
     return None
 
@@ -193,10 +207,10 @@ def hnn_rewrite(p: Presentation, stable: Generator, registry: Registry) -> HnnRe
 def choose_embedding_pair(p: Presentation) -> tuple[Generator, Generator]:
     """Pick the ordered generator pair (u, v) minimizing |alpha * beta|,
     ties broken by declaration order of u and then v."""
-    occurring = [g for g in p.generators if occurrence_count(p.relator, g) > 0]
+    _, sums = _tally(p.relator)
+    occurring = [g for g in p.generators if g.uid in sums]
     if len(occurring) < 2:
         raise ValueError("embedding needs at least two occurring generators")
-    sums = {g.uid: exponent_sum(p.relator, g) for g in occurring}
     best: tuple[int, int, int] | None = None
     pair: tuple[Generator, Generator] | None = None
     for iu, u in enumerate(occurring):

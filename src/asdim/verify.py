@@ -11,6 +11,24 @@ relator, expanded through the recorded renaming, must reproduce the
 parent relator letter for letter.  Only the embedding image, which is
 defined up to conjugacy by cyclic reduction, is compared as a cyclic
 word.
+
+The HNN expansion is telescoped.  Replacing each child letter x_k^(e_k),
+renamed from base^(e_k) at subscript i_k, by its conjugate
+t^(i_k) base^(e_k) t^(-i_k) gives a word in which every t^(-i_k) is
+followed by t^(i_(k+1)).  The verifier writes each such pair as the
+single power t^(i_(k+1) - i_k), that is t^(i_1) base_1 t^(i_2 - i_1)
+base_2 ... base_n t^(-i_n).  The two words differ only by free
+cancellations, so they have the same freely reduced form, and the check
+remains pure free-group arithmetic.  Before reduction the telescoped
+word has |s| + |i_1| + sum |i_(k+1) - i_k| + |i_n| letters, against
+|s| + 2 sum |i_k| for the product of conjugates.
+
+The verifier also checks the preconditions that make a step's claim
+follow: an HNN renaming maps distinct fresh generators to distinct
+(base, subscript) rows whose bases are parent generators other than the
+stable letter, and an embedding's stable and carrier letters are two new
+generators, so the inner presentation has as many generators as the
+parent.
 """
 
 from __future__ import annotations
@@ -28,7 +46,7 @@ from .tower import (
     SingleElim,
 )
 from .words import (
-    MissingImageError,
+    Letter,
     Word,
     concat,
     equal_as_cyclic_words,
@@ -191,22 +209,40 @@ def _verify_hnn(node: HnnStep, r: Word, flag) -> None:
         flag("stable occurrences", f"{t.name} occurs {occurrence_count(r, t)} times")
 
     entries = rw.renaming
-    if {e.fresh for e in entries} != set(child_p.generators):
+    fresh = {e.fresh for e in entries}
+    if fresh != set(child_p.generators):
         flag("renaming", "renamed generators do not match the child generators")
+    if len(fresh) != len(entries):
+        flag("renaming", "a fresh generator names more than one row")
+    if len({(e.base, e.subscript) for e in entries}) != len(entries):
+        flag("renaming", "two rows name the same (base, subscript) conjugate")
+    parent_gens = set(node.presentation.generators)
+    for e in entries:
+        if e.base == t or e.base not in parent_gens:
+            flag(
+                "renaming",
+                f"base {e.base.name} of {e.fresh.name} is not a non-stable"
+                " parent generator",
+            )
 
-    images = {
-        e.fresh: concat(
-            generator_power(t, e.subscript),
-            single(e.base),
-            generator_power(t, -e.subscript),
-        )
-        for e in entries
-    }
-    try:
-        expanded = reduce_word(substitute(s, images))
-    except MissingImageError as err:
-        flag("renaming", f"no entry for child generator {err.gen.name}")
+    # Telescoped expansion, see the module docstring: t^(i_k - i_(k-1))
+    # then base^(e_k) for each child letter, and t^(-i_n) at the end.
+    rows = {e.fresh: e for e in entries}
+    up, down = Letter(t, 1), Letter(t, -1)
+    letters: list[Letter] = []
+    at = 0
+    for l in s.letters:
+        e = rows.get(l.gen)
+        if e is None:
+            flag("renaming", f"no entry for child generator {l.gen.name}")
+            break
+        step = e.subscript - at
+        letters.extend((up,) * step if step > 0 else (down,) * -step)
+        letters.append(Letter(e.base, l.sign))
+        at = e.subscript
     else:
+        letters.extend((up,) * -at if at < 0 else (down,) * at)
+        expanded = reduce_word(Word(tuple(letters)))
         if expanded.letters != r.letters:
             flag("expansion", "expanded child relator differs from the parent relator")
 
@@ -255,6 +291,13 @@ def _verify_embed(node: EmbedStep, p: Presentation, r: Word, flag) -> None:
     if not equal_as_cyclic_words(emb.image, recomputed):
         flag("image", "stored image is not the rewritten relator")
 
+    retained = [g for g in p.generators if g not in (u, v)]
+    if emb.stable == emb.carrier:
+        flag("fresh letters", "stable and carrier are the same generator")
+    for g, label in ((emb.stable, "stable"), (emb.carrier, "carrier")):
+        if g in retained:
+            flag("fresh letters", f"{label} {g.name} is a retained parent generator")
+
     if exponent_sum(emb.image, emb.stable) != 0:
         flag(
             "image exponent",
@@ -266,8 +309,11 @@ def _verify_embed(node: EmbedStep, p: Presentation, r: Word, flag) -> None:
     inner_p = node.inner.presentation
     if inner_p.relator.letters != emb.image.letters:
         flag("inner relator", "differs from the stored image")
-    expected_gens = {emb.stable, emb.carrier} | {
-        g for g in p.generators if g not in (u, v)
-    }
+    expected_gens = {emb.stable, emb.carrier} | set(retained)
     if set(inner_p.generators) != expected_gens:
         flag("inner generators", "do not match the embedding construction")
+    if len(inner_p.generators) != len(p.generators):
+        flag(
+            "inner generators",
+            f"{len(inner_p.generators)} generators, parent has {len(p.generators)}",
+        )

@@ -2,15 +2,14 @@
 
 Generators are interned atoms whose identity is a registry-issued uid,
 never the display name.  Words are immutable sequences of signed letters;
-every operation is pure.  The only mutable object is the Registry, which
-serializes uid allocation, so concurrent pipelines are safe as long as
-each uses its own registry.
+every operation is pure.  The only mutable object is the Registry.  No
+code path in the package is concurrent; a registry belongs to one
+pipeline at a time.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple
 
@@ -130,8 +129,7 @@ def generator_power(gen: Generator, n: int) -> Word:
     >>> format_word(generator_power(t, -2))
     't^-2'
     """
-    sign = 1 if n >= 0 else -1
-    return Word(tuple(Letter(gen, sign) for _ in range(abs(n))), reduced=True)
+    return Word((Letter(gen, 1 if n >= 0 else -1),) * abs(n), reduced=True)
 
 
 def concat(*words: Word) -> Word:
@@ -160,12 +158,17 @@ def reduce_word(w: Word) -> Word:
     """
     if w.reduced:
         return w
+    # Signs are compared before uids, and uids stand in for
+    # Generator.__eq__, which compares exactly them.
     stack: list[Letter] = []
+    push, pop = stack.append, stack.pop
     for l in w.letters:
-        if stack and stack[-1].gen == l.gen and stack[-1].sign == -l.sign:
-            stack.pop()
-        else:
-            stack.append(l)
+        if stack:
+            top = stack[-1]
+            if top.sign == -l.sign and top.gen.uid == l.gen.uid:
+                pop()
+                continue
+        push(l)
     return Word(tuple(stack), reduced=True)
 
 
@@ -198,11 +201,13 @@ def cyclic_reduce(w: Word) -> CyclicReduction:
 
 
 def exponent_sum(w: Word, gen: Generator) -> int:
-    return sum(l.sign for l in w.letters if l.gen == gen)
+    uid = gen.uid
+    return sum(l.sign for l in w.letters if l.gen.uid == uid)
 
 
 def occurrence_count(w: Word, gen: Generator) -> int:
-    return sum(1 for l in w.letters if l.gen == gen)
+    uid = gen.uid
+    return sum(1 for l in w.letters if l.gen.uid == uid)
 
 
 class MissingImageError(ValueError):
@@ -216,29 +221,64 @@ class MissingImageError(ValueError):
 def substitute(w: Word, images: Mapping[Generator, Word]) -> Word:
     """Apply the homomorphism determined by images and freely reduce.
 
-    A letter g^-1 maps to the inverse of images[g].  Every generator
-    occurring in w must have an image.
+    A letter g^-1 maps to the inverse of images[g], computed once per
+    generator.  Every generator occurring in w must have an image.
     """
-    pieces: list[Word] = []
+    letters: list[Letter] = []
+    inverted: dict[Generator, tuple[Letter, ...]] = {}
     for l in w.letters:
         img = images.get(l.gen)
         if img is None:
             raise MissingImageError(l.gen)
-        pieces.append(img if l.sign > 0 else inverse(img))
-    return reduce_word(concat(*pieces) if pieces else EMPTY_WORD)
+        if l.sign > 0:
+            letters.extend(img.letters)
+        else:
+            inv = inverted.get(l.gen)
+            if inv is None:
+                inv = inverted[l.gen] = inverse(img).letters
+            letters.extend(inv)
+    return reduce_word(Word(tuple(letters)))
 
 
 def equal_as_cyclic_words(a: Word, b: Word) -> bool:
-    """Whether a and b have the same cyclic core up to rotation."""
+    """Whether a and b have the same cyclic core up to rotation.
+
+    Linear time: unless the cores are equal as they stand, a
+    prefix-function (Knuth-Morris-Pratt) search for a's core in b's core
+    doubled, over (uid, sign) keys.
+    """
     ca = cyclic_reduce(a).core.letters
     cb = cyclic_reduce(b).core.letters
     if len(ca) != len(cb):
         return False
-    if not ca:
+    if ca == cb:
         return True
-    doubled = cb + cb
-    n = len(ca)
-    return any(doubled[k : k + n] == ca for k in range(n))
+    ka = [(l.gen.uid, l.sign) for l in ca]
+    kb = [(l.gen.uid, l.sign) for l in cb]
+    return _occurs_in(ka, kb + kb[:-1])
+
+
+def _occurs_in(pattern: list, text: list) -> bool:
+    """Whether pattern (nonempty) is a contiguous run of text."""
+    m = len(pattern)
+    # fail[i]: length of the longest proper border of pattern[: i + 1].
+    fail = [0] * m
+    k = 0
+    for i in range(1, m):
+        while k and pattern[i] != pattern[k]:
+            k = fail[k - 1]
+        if pattern[i] == pattern[k]:
+            k += 1
+        fail[i] = k
+    k = 0
+    for x in text:
+        while k and x != pattern[k]:
+            k = fail[k - 1]
+        if x == pattern[k]:
+            k += 1
+            if k == m:
+                return True
+    return False
 
 
 def format_word(w: Word) -> str:
@@ -264,7 +304,6 @@ class Registry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._subscripted: dict[tuple[int, int], Generator] = {}
         self._pair_count = 0
 
@@ -282,24 +321,22 @@ class Registry:
         Memoized per registry, so repeated requests within one rewriting
         step yield the identical atom.
         """
-        with self._lock:
-            key = (base.uid, subscript)
-            g = self._subscripted.get(key)
-            if g is None:
-                g = Generator(
-                    f"{base.name}@{subscript}",
-                    next(_UIDS),
-                    Subscripted(base, subscript),
-                )
-                self._subscripted[key] = g
-            return g
+        key = (base.uid, subscript)
+        g = self._subscripted.get(key)
+        if g is None:
+            g = Generator(
+                f"{base.name}@{subscript}",
+                next(_UIDS),
+                Subscripted(base, subscript),
+            )
+            self._subscripted[key] = g
+        return g
 
     def embedding_pair(self) -> tuple[Generator, Generator]:
         """A fresh (t#k, b#k) pair for an embedding substitution; k counts
         per registry so rendered names are deterministic."""
-        with self._lock:
-            self._pair_count += 1
-            k = self._pair_count
+        self._pair_count += 1
+        k = self._pair_count
         t = Generator(f"t#{k}", next(_UIDS), Fresh(f"embedding stable letter {k}"))
         b = Generator(f"b#{k}", next(_UIDS), Fresh(f"embedding carrier letter {k}"))
         return t, b

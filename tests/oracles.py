@@ -7,7 +7,7 @@ to a fixed point.
 
 from __future__ import annotations
 
-from asdim import Letter
+from asdim import Letter, Word
 
 
 def naive_reduce(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
@@ -32,3 +32,40 @@ def naive_cyclic_core(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     while len(out) >= 2 and out[0] == out[-1].inverse():
         out = list(naive_reduce(tuple(out[1:-1])))
     return tuple(out)
+
+
+def naive_equal_as_cyclic_words(a: Word, b: Word) -> bool:
+    """Compare the naive cyclic cores of a and b, trying every rotation of
+    b's core."""
+    ca = naive_cyclic_core(a.letters)
+    cb = naive_cyclic_core(b.letters)
+    if len(ca) != len(cb):
+        return False
+    return not ca or any(cb[k:] + cb[:k] == ca for k in range(len(cb)))
+
+
+def naive_hnn_expansion(parent, child, renaming, stable) -> str | None:
+    """The HNN expansion check letter by letter, as the product of
+    conjugates: every child letter x^e becomes t^i base^e t^-i for its row
+    (fresh, base, i), the last row for a fresh name winning, and the
+    concatenation is reduced by naive_reduce and compared with the parent
+    relator.  Returns None on a match, otherwise the verifier's message
+    for the failed check."""
+    rows = {e.fresh: e for e in renaming}
+    letters: list[Letter] = []
+    for l in child.letters:
+        e = rows.get(l.gen)
+        if e is None:
+            return f"no entry for child generator {l.gen.name}"
+        i = e.subscript
+        image = (
+            [Letter(stable, 1 if i > 0 else -1)] * abs(i)
+            + [Letter(e.base, 1)]
+            + [Letter(stable, -1 if i > 0 else 1)] * abs(i)
+        )
+        if l.sign < 0:
+            image = [x.inverse() for x in reversed(image)]
+        letters.extend(image)
+    if naive_reduce(tuple(letters)) != parent.letters:
+        return "expanded child relator differs from the parent relator"
+    return None

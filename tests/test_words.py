@@ -25,7 +25,7 @@ from asdim import (
     single,
     substitute,
 )
-from oracles import naive_cyclic_core, naive_reduce
+from oracles import naive_cyclic_core, naive_equal_as_cyclic_words, naive_reduce
 
 REG = Registry()
 A = REG.declare("a")
@@ -217,6 +217,34 @@ class TestProperties:
         k %= len(word)
         rotated = Word(word.letters[k:] + word.letters[:k])
         assert equal_as_cyclic_words(word, rotated)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(letters, min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=5),
+        words,
+        st.sampled_from(("rotation", "altered", "other")),
+        st.integers(min_value=0, max_value=40),
+        letters,
+    )
+    def test_cyclic_equality_matches_all_rotations_oracle(
+        self, period, repeats, other, how, k, l
+    ):
+        # Powers of a short word have long borders, which the prefix
+        # function has to follow.
+        word = Word(tuple(period) * repeats)
+        if how == "other":
+            rhs = other
+        else:
+            ls = word.letters
+            k %= len(ls)
+            ls = ls[k:] + ls[:k]
+            if how == "altered":
+                ls = ls[:-1] + (l,)
+            rhs = Word(ls)
+        assert equal_as_cyclic_words(word, rhs) == naive_equal_as_cyclic_words(
+            word, rhs
+        )
 
     @given(words, letters)
     def test_cyclic_equality_absorbs_conjugation(self, word, l):
