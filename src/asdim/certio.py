@@ -5,13 +5,16 @@ plain-text tree rendering.
 The document is integers and strings only, keys in a fixed order, so
 emitting, parsing, and emitting again is byte-identical.  Generator
 identity inside one document is by display name; names invented by the
-engine are unique within a chain by construction.
+engine are unique within a chain by construction.  Each node kind's
+fields, the key linking it to the next node, and its rendered headline
+are one entry of the _KINDS table; emit, parse and render loop over the
+chain with it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .presentations import (
     Presentation,
@@ -28,6 +31,7 @@ from .tower import (
     HnnStep,
     Node,
     SingleElim,
+    walk,
 )
 from .words import Generator, Registry, Word, format_word
 
@@ -46,62 +50,6 @@ class CertificateError(ValueError):
     """The document is not a well-formed certificate."""
 
 
-def emit_certificate(root: Node) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "root": _to_dict(root)}
-    return json.dumps(doc, indent=2)
-
-
-def _to_dict(node: Node) -> dict[str, Any]:
-    d: dict[str, Any] = {}
-    if isinstance(node, FreeLeaf):
-        d["kind"] = "free_leaf"
-    elif isinstance(node, CyclicLeaf):
-        d["kind"] = "cyclic_leaf"
-    elif isinstance(node, SingleElim):
-        d["kind"] = "single_elim"
-    elif isinstance(node, FreeSplit):
-        d["kind"] = "free_split"
-    elif isinstance(node, HnnStep):
-        d["kind"] = "case1_hnn"
-    elif isinstance(node, EmbedStep):
-        d["kind"] = "case2_embed"
-    else:
-        raise TypeError(f"not a certificate node: {node!r}")
-    d["presentation"] = format_presentation(node.presentation)
-    d["bound"] = node.bound
-
-    if isinstance(node, FreeLeaf):
-        d["rank"] = node.rank
-    elif isinstance(node, CyclicLeaf):
-        d["order"] = node.order
-    elif isinstance(node, SingleElim):
-        d["eliminated"] = node.eliminated.name
-        d["rank"] = node.resulting_rank
-    elif isinstance(node, FreeSplit):
-        d["split_off_rank"] = node.split_off_rank
-        d["child"] = _to_dict(node.child)
-    elif isinstance(node, HnnStep):
-        rw = node.rewrite
-        d["stable"] = rw.stable.name
-        d["base"] = rw.base.name
-        d["rewritten"] = format_word(rw.rewritten)
-        d["min_subscript"] = rw.min_subscript
-        d["max_subscript"] = rw.max_subscript
-        d["renaming"] = [[e.fresh.name, e.base.name, e.subscript] for e in rw.renaming]
-        d["child"] = _to_dict(node.child)
-    elif isinstance(node, EmbedStep):
-        emb = node.embedding
-        d["u"] = emb.u.name
-        d["v"] = emb.v.name
-        d["alpha"] = emb.alpha
-        d["beta"] = emb.beta
-        d["stable"] = emb.stable.name
-        d["carrier"] = emb.carrier.name
-        d["image"] = format_word(emb.image)
-        d["inner"] = _to_dict(node.inner)
-    return d
-
-
 def _need(d: dict[str, Any], key: str, kind: type) -> Any:
     if key not in d:
         raise CertificateError(f"missing field {key!r}")
@@ -113,6 +61,176 @@ def _need(d: dict[str, Any], key: str, kind: type) -> Any:
     return value
 
 
+class _Reader:
+    """Reads the fields of one document.  Generator identity is by display
+    name throughout the document, so every name is interned once."""
+
+    def __init__(self, registry: Registry) -> None:
+        self.registry = registry
+        self.table: dict[str, Generator] = {}
+
+    def intern(self, name: str) -> Generator:
+        g = self.table.get(name)
+        if g is None:
+            g = self.table[name] = self.registry.declare(name)
+        return g
+
+    def gen(self, d: dict[str, Any], key: str) -> Generator:
+        return self.intern(_need(d, key, str))
+
+    def word(self, d: dict[str, Any], key: str) -> Word:
+        return parse_word(
+            _need(d, key, str), lambda name, pos: self.intern(name), extended_names=True
+        )
+
+    def presentation(self, d: dict[str, Any]) -> Presentation:
+        return parse_presentation(
+            _need(d, "presentation", str),
+            self.registry,
+            allow_empty_generators=True,
+            extended_names=True,
+            declare=self.intern,
+        )
+
+    def renaming(self, d: dict[str, Any]) -> tuple[RenameEntry, ...]:
+        entries = []
+        for row in _need(d, "renaming", list):
+            if (
+                not isinstance(row, list)
+                or len(row) != 3
+                or not all(isinstance(name, str) for name in row[:2])
+                or type(row[2]) is not int  # a JSON true or false is a bool
+            ):
+                raise CertificateError("renaming rows must be [fresh, base, subscript]")
+            fresh, base, i = row
+            entries.append(RenameEntry(self.intern(fresh), self.intern(base), i))
+        return tuple(entries)
+
+
+def _hnn_fields(node: HnnStep) -> dict[str, Any]:
+    rw = node.rewrite
+    return {
+        "stable": rw.stable.name,
+        "base": rw.base.name,
+        "rewritten": format_word(rw.rewritten),
+        "min_subscript": rw.min_subscript,
+        "max_subscript": rw.max_subscript,
+        "renaming": [[e.fresh.name, e.base.name, e.subscript] for e in rw.renaming],
+    }
+
+
+def _parse_hnn(rd: _Reader, d: dict[str, Any], child: Node) -> tuple:
+    rewrite = HnnRewrite(
+        stable=rd.gen(d, "stable"),
+        base=rd.gen(d, "base"),
+        rewritten=rd.word(d, "rewritten"),
+        min_subscript=_need(d, "min_subscript", int),
+        max_subscript=_need(d, "max_subscript", int),
+        renaming=rd.renaming(d),
+        child=child.presentation,
+    )
+    return (rewrite,)
+
+
+def _embed_fields(node: EmbedStep) -> dict[str, Any]:
+    emb = node.embedding
+    return {
+        "u": emb.u.name,
+        "v": emb.v.name,
+        "alpha": emb.alpha,
+        "beta": emb.beta,
+        "stable": emb.stable.name,
+        "carrier": emb.carrier.name,
+        "image": format_word(emb.image),
+    }
+
+
+def _parse_embed(rd: _Reader, d: dict[str, Any], child: Node) -> tuple:
+    embedding = ZeroSumEmbedding(
+        u=rd.gen(d, "u"),
+        v=rd.gen(d, "v"),
+        alpha=_need(d, "alpha", int),
+        beta=_need(d, "beta", int),
+        stable=rd.gen(d, "stable"),
+        carrier=rd.gen(d, "carrier"),
+        image=rd.word(d, "image"),
+        embedded=child.presentation,
+    )
+    return (embedding,)
+
+
+class _Kind(NamedTuple):
+    """How one node kind is written in a v1 document."""
+
+    link: str | None  # key of the next node's object; None for a leaf
+    emit: Callable[[Any], dict[str, Any]]  # the kind's own fields, in key order
+    parse: Callable[[_Reader, dict[str, Any], Any], tuple]  # node fields back
+    headline: str  # render_tree text, a format string over the emitted fields
+
+
+_KINDS: dict[type, _Kind] = {
+    FreeLeaf: _Kind(
+        None,
+        lambda n: {"rank": n.rank},
+        lambda rd, d, child: (_need(d, "rank", int),),
+        "rank={rank}",
+    ),
+    CyclicLeaf: _Kind(
+        None,
+        lambda n: {"order": n.order},
+        lambda rd, d, child: (_need(d, "order", int),),
+        "order={order}",
+    ),
+    SingleElim: _Kind(
+        None,
+        lambda n: {"eliminated": n.eliminated.name, "rank": n.resulting_rank},
+        lambda rd, d, child: (rd.gen(d, "eliminated"), _need(d, "rank", int)),
+        "eliminate={eliminated}  rank={rank}",
+    ),
+    FreeSplit: _Kind(
+        "child",
+        lambda n: {"split_off_rank": n.split_off_rank},
+        lambda rd, d, child: (_need(d, "split_off_rank", int),),
+        "split_off_rank={split_off_rank}",
+    ),
+    HnnStep: _Kind(
+        "child",
+        _hnn_fields,
+        _parse_hnn,
+        "stable={stable}  base={base}  subscripts={min_subscript}..{max_subscript}"
+        "  s={rewritten!r}",
+    ),
+    EmbedStep: _Kind(
+        "inner",
+        _embed_fields,
+        _parse_embed,
+        "u={u} alpha={alpha}  v={v} beta={beta}  image={image!r}",
+    ),
+}
+_BY_NAME = {cls.kind: cls for cls in _KINDS}
+
+
+def _fields(node: Node) -> dict[str, Any]:
+    """The node's v1 object without its link to the next node."""
+    spec = _KINDS.get(type(node))
+    if spec is None:
+        raise TypeError(f"not a certificate node: {node!r}")
+    return {
+        "kind": node.kind,
+        "presentation": format_presentation(node.presentation),
+        "bound": node.bound,
+        **spec.emit(node),
+    }
+
+
+def emit_certificate(root: Node) -> str:
+    nodes = list(walk(root))
+    objects = [_fields(node) for node in nodes]
+    for node, obj, below in zip(nodes, objects, objects[1:]):
+        obj[_KINDS[type(node)].link] = below
+    return json.dumps({"schema_version": SCHEMA_VERSION, "root": objects[0]}, indent=2)
+
+
 def parse_certificate(text: str, registry: Registry | None = None) -> Node:
     """Rebuild a chain from document text.
 
@@ -120,157 +238,57 @@ def parse_certificate(text: str, registry: Registry | None = None) -> Node:
     dishonest document parses fine and is left for verify_certificate to
     reject.
     """
-    reg = registry if registry is not None else Registry()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise CertificateError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise CertificateError("document nested too deeply") from None
     if not isinstance(doc, dict):
         raise CertificateError("document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise CertificateError(
             f"unsupported schema_version {doc.get('schema_version')!r}"
         )
-
-    table: dict[str, Generator] = {}
-
-    def intern(name: str) -> Generator:
-        g = table.get(name)
-        if g is None:
-            g = reg.declare(name)
-            table[name] = g
-        return g
-
-    def pres(text: str) -> Presentation:
-        return parse_presentation(
-            text,
-            reg,
-            allow_empty_generators=True,
-            extended_names=True,
-            declare=intern,
-        )
-
-    def word(text: str) -> Word:
-        return parse_word(
-            text, lambda name, pos: intern(name), extended_names=True
-        )
-
     root = _need(doc, "root", dict)
+    rd = _Reader(registry if registry is not None else Registry())
     try:
-        return _from_dict(root, intern, pres, word)
+        return _from_objects(root, rd)
     except ValueError as e:
         if isinstance(e, CertificateError):
             raise
         raise CertificateError(str(e)) from None
 
 
-def _from_dict(
-    d: dict[str, Any],
-    intern: Callable[[str], Generator],
-    pres: Callable[[str], Presentation],
-    word: Callable[[str], Word],
-) -> Node:
-    kind = _need(d, "kind", str)
-    p = pres(_need(d, "presentation", str))
-    bound = _need(d, "bound", int)
-
-    if kind == "free_leaf":
-        return FreeLeaf(p, bound, _need(d, "rank", int))
-    if kind == "cyclic_leaf":
-        return CyclicLeaf(p, bound, _need(d, "order", int))
-    if kind == "single_elim":
-        return SingleElim(
-            p, bound, intern(_need(d, "eliminated", str)), _need(d, "rank", int)
-        )
-    if kind == "free_split":
-        child = _from_dict(_need(d, "child", dict), intern, pres, word)
-        return FreeSplit(p, bound, _need(d, "split_off_rank", int), child)
-    if kind == "case1_hnn":
-        stable = intern(_need(d, "stable", str))
-        base = intern(_need(d, "base", str))
-        rewritten = word(_need(d, "rewritten", str))
-        entries = []
-        for row in _need(d, "renaming", list):
-            if (
-                not isinstance(row, list)
-                or len(row) != 3
-                or not isinstance(row[0], str)
-                or not isinstance(row[1], str)
-                or not isinstance(row[2], int)
-                or isinstance(row[2], bool)
-            ):
-                raise CertificateError(
-                    "renaming rows must be [fresh, base, subscript]"
-                )
-            entries.append(RenameEntry(intern(row[0]), intern(row[1]), row[2]))
-        child = _from_dict(_need(d, "child", dict), intern, pres, word)
-        rw = HnnRewrite(
-            stable=stable,
-            base=base,
-            rewritten=rewritten,
-            min_subscript=_need(d, "min_subscript", int),
-            max_subscript=_need(d, "max_subscript", int),
-            renaming=tuple(entries),
-            child=child.presentation,
-        )
-        return HnnStep(p, bound, rw, child)
-    if kind == "case2_embed":
-        u = intern(_need(d, "u", str))
-        v = intern(_need(d, "v", str))
-        stable = intern(_need(d, "stable", str))
-        carrier = intern(_need(d, "carrier", str))
-        image = word(_need(d, "image", str))
-        inner = _from_dict(_need(d, "inner", dict), intern, pres, word)
-        emb = ZeroSumEmbedding(
-            u=u,
-            v=v,
-            alpha=_need(d, "alpha", int),
-            beta=_need(d, "beta", int),
-            stable=stable,
-            carrier=carrier,
-            image=image,
-            embedded=inner.presentation,
-        )
-        return EmbedStep(p, bound, emb, inner)
-    raise CertificateError(f"unknown node kind {kind!r}")
+def _from_objects(d: dict[str, Any], rd: _Reader) -> Node:
+    """Walk down the nested node objects, then build the chain from the
+    leaf up."""
+    path = []
+    while d is not None:
+        kind = _need(d, "kind", str)
+        cls = _BY_NAME.get(kind)
+        if cls is None:
+            raise CertificateError(f"unknown node kind {kind!r}")
+        path.append((cls, d))
+        link = _KINDS[cls].link
+        d = None if link is None else _need(d, link, dict)
+    node = None
+    for cls, d in reversed(path):
+        p = rd.presentation(d)
+        bound = _need(d, "bound", int)
+        fields = _KINDS[cls].parse(rd, d, node)
+        link = () if node is None else (node,)
+        node = cls(p, *fields, *link, bound=bound)
+    return node
 
 
 def render_tree(root: Node) -> str:
-    lines: list[str] = []
-    _render(root, 0, lines)
+    lines = []
+    for depth, node in enumerate(walk(root)):
+        f = _fields(node)
+        headline = _KINDS[type(node)].headline.format(**f)
+        lines.append(
+            f"{'  ' * depth}{node.kind}  bound={node.bound}  {headline}"
+            f"  {f['presentation']}"
+        )
     return "\n".join(lines)
-
-
-def _render(node: Node, depth: int, lines: list[str]) -> None:
-    pad = "  " * depth
-    p = format_presentation(node.presentation)
-    if isinstance(node, FreeLeaf):
-        lines.append(f"{pad}free_leaf  bound={node.bound}  rank={node.rank}  {p}")
-    elif isinstance(node, CyclicLeaf):
-        lines.append(f"{pad}cyclic_leaf  bound={node.bound}  order={node.order}  {p}")
-    elif isinstance(node, SingleElim):
-        lines.append(
-            f"{pad}single_elim  bound={node.bound}  eliminate={node.eliminated.name}"
-            f"  rank={node.resulting_rank}  {p}"
-        )
-    elif isinstance(node, FreeSplit):
-        lines.append(
-            f"{pad}free_split  bound={node.bound}"
-            f"  split_off_rank={node.split_off_rank}  {p}"
-        )
-        _render(node.child, depth + 1, lines)
-    elif isinstance(node, HnnStep):
-        rw = node.rewrite
-        lines.append(
-            f"{pad}case1_hnn  bound={node.bound}  stable={rw.stable.name}"
-            f"  base={rw.base.name}  subscripts={rw.min_subscript}..{rw.max_subscript}"
-            f"  s={format_word(rw.rewritten)!r}  {p}"
-        )
-        _render(node.child, depth + 1, lines)
-    elif isinstance(node, EmbedStep):
-        emb = node.embedding
-        lines.append(
-            f"{pad}case2_embed  bound={node.bound}  u={emb.u.name} alpha={emb.alpha}"
-            f"  v={emb.v.name} beta={emb.beta}  image={format_word(emb.image)!r}  {p}"
-        )
-        _render(node.inner, depth + 1, lines)

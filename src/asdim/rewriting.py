@@ -178,12 +178,8 @@ def hnn_rewrite(p: Presentation, stable: Generator, registry: Registry) -> HnnRe
     for g in occurring:
         origin = g.origin
         assert isinstance(origin, Subscripted)
-        i = origin.subscript
-        fresh = registry.fresh(
-            g.name,
-            f"{stable.name}^{i} {origin.base.name} {stable.name}^{-i}",
-        )
-        entries.append(RenameEntry(fresh, origin.base, i))
+        fresh = registry.fresh(g.name)
+        entries.append(RenameEntry(fresh, origin.base, origin.subscript))
         renamed[g] = fresh
 
     child_word = Word(

@@ -1,6 +1,5 @@
-"""Recursive decomposition of a one-relator presentation into a chain of
-certified steps, each paired with the asymptotic dimension bound it
-yields.
+"""Decomposition of a one-relator presentation into a chain of certified
+steps, each paired with the asymptotic dimension bound it yields.
 
 The chain bottoms out in groups of known dimension: free groups (1, or 0
 when trivial) and finite cyclic groups (0).  Interior steps either split
@@ -13,12 +12,18 @@ charged exactly 1.  An embedding step may lengthen the relator and is
 charged nothing; together with the step after it, the relator still
 shrinks by at least two.  build_tower derives the chain-depth bound from
 these rules.
+
+A chain is singly linked through child (None at the leaf), and every
+node class carries its certificate kind name and its bound rule (the
+child's bound to its own).  Passes over a chain are loops, so its depth
+is not limited by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from itertools import permutations
+from typing import ClassVar, Iterator, Union
 
 from .presentations import Presentation, letters_of
 from .rewriting import (
@@ -44,76 +49,125 @@ __all__ = [
     "SingleElim",
     "all_towers",
     "best_tower",
-    "bound_of",
     "build_tower",
     "ceil_half",
-    "children",
     "summarize",
+    "walk",
 ]
 
 
+class _Node:
+    """What every node kind shares.  A bound left out at construction is
+    derived by the kind's bound rule, so the builder and the verifier
+    apply one rule."""
+
+    def __post_init__(self) -> None:
+        if self.bound is None:
+            object.__setattr__(self, "bound", self.bound_by_rule())
+
+    def bound_by_rule(self) -> int:
+        """The bound the kind's rule gives from the child's stored bound
+        (None for a leaf), ignoring this node's stored bound."""
+        return self.bound_rule(None if self.child is None else self.child.bound)
+
+
 @dataclass(frozen=True)
-class FreeLeaf:
+class FreeLeaf(_Node):
     """The group is free of the stated rank (empty relator, or a length-1
     relator killing one generator)."""
 
+    kind: ClassVar[str] = "free_leaf"
+    child: ClassVar[None] = None
     presentation: Presentation
-    bound: int
     rank: int
+    bound: int = None  # type: ignore[assignment]
+
+    def bound_rule(self, below: None) -> int:
+        return 0 if self.rank == 0 else 1
 
 
 @dataclass(frozen=True)
-class CyclicLeaf:
+class CyclicLeaf(_Node):
     """Single generator, relator a power of it: a finite cyclic group."""
 
+    kind: ClassVar[str] = "cyclic_leaf"
+    child: ClassVar[None] = None
     presentation: Presentation
-    bound: int
     order: int
+    bound: int = None  # type: ignore[assignment]
+
+    def bound_rule(self, below: None) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
-class SingleElim:
+class SingleElim(_Node):
     """A generator occurring exactly once is eliminated; the rest generate
     freely, so this terminates the chain like a free leaf."""
 
+    kind: ClassVar[str] = "single_elim"
+    child: ClassVar[None] = None
     presentation: Presentation
-    bound: int
     eliminated: Generator
     resulting_rank: int
+    bound: int = None  # type: ignore[assignment]
+
+    def bound_rule(self, below: None) -> int:
+        return 0 if self.resulting_rank == 0 else 1
 
 
 @dataclass(frozen=True)
-class FreeSplit:
+class FreeSplit(_Node):
     """Generators absent from the relator split off as a free factor."""
 
+    kind: ClassVar[str] = "free_split"
     presentation: Presentation
-    bound: int
     split_off_rank: int
     child: "Node"
+    bound: int = None  # type: ignore[assignment]
+
+    def bound_rule(self, below: int) -> int:
+        return below if self.split_off_rank == 0 else max(below, 1)
 
 
 @dataclass(frozen=True)
-class HnnStep:
+class HnnStep(_Node):
     """HNN extension over the child group, from a zero-exponent-sum
     stable letter."""
 
+    kind: ClassVar[str] = "case1_hnn"
     presentation: Presentation
-    bound: int
     rewrite: HnnRewrite
     child: "Node"
+    bound: int = None  # type: ignore[assignment]
+
+    def bound_rule(self, below: int) -> int:
+        return 1 + below
 
 
 @dataclass(frozen=True)
-class EmbedStep:
-    """Embedding into the group decomposed by the inner chain."""
+class EmbedStep(_Node):
+    """Embedding into the group decomposed by the child chain."""
 
+    kind: ClassVar[str] = "case2_embed"
     presentation: Presentation
-    bound: int
     embedding: ZeroSumEmbedding
-    inner: "Node"
+    child: "Node"
+    bound: int = None  # type: ignore[assignment]
+
+    def bound_rule(self, below: int) -> int:
+        return below
 
 
 Node = Union[FreeLeaf, CyclicLeaf, SingleElim, FreeSplit, HnnStep, EmbedStep]
+
+
+def walk(root: Node) -> Iterator[Node]:
+    """The nodes of a chain, root first."""
+    node: Node | None = root
+    while node is not None:
+        yield node
+        node = node.child
 
 
 def ceil_half(n: int) -> int:
@@ -125,37 +179,6 @@ def ceil_half(n: int) -> int:
     if n < 0:
         raise ValueError("length must be nonnegative")
     return (n + 1) // 2
-
-
-def _free_bound(rank: int) -> int:
-    return 0 if rank == 0 else 1
-
-
-def children(node: Node) -> tuple[Node, ...]:
-    if isinstance(node, (FreeSplit, HnnStep)):
-        return (node.child,)
-    if isinstance(node, EmbedStep):
-        return (node.inner,)
-    return ()
-
-
-def bound_of(node: Node) -> int:
-    """Recompute the dimension bound of a chain from its structure alone,
-    ignoring the stored per-node bounds."""
-    if isinstance(node, FreeLeaf):
-        return _free_bound(node.rank)
-    if isinstance(node, CyclicLeaf):
-        return 0
-    if isinstance(node, SingleElim):
-        return _free_bound(node.resulting_rank)
-    if isinstance(node, FreeSplit):
-        inner = bound_of(node.child)
-        return inner if node.split_off_rank == 0 else max(inner, 1)
-    if isinstance(node, HnnStep):
-        return 1 + bound_of(node.child)
-    if isinstance(node, EmbedStep):
-        return bound_of(node.inner)
-    raise TypeError(f"not a certificate node: {node!r}")
 
 
 def build_tower(p: Presentation, registry: Registry | None = None) -> Node:
@@ -187,42 +210,66 @@ def build_tower(p: Presentation, registry: Registry | None = None) -> Node:
     return _build(p, registry if registry is not None else Registry())
 
 
-def _build(p: Presentation, reg: Registry) -> Node:
+def _steps(p: Presentation, reg: Registry, every: bool) -> Iterator[tuple]:
+    """The guard ladder: yield, in guard order, the steps the guards allow
+    at p as (node class, kind fields, next presentation), the next
+    presentation None for a leaf.  Only the HNN and embedding steps offer
+    a choice; with every false the default choice alone is yielded."""
     r = p.relator
     gens = p.generators
 
     if len(r) == 0:
-        return FreeLeaf(p, _free_bound(len(gens)), rank=len(gens))
+        yield FreeLeaf, (len(gens),), None
+        return
 
     occurring = letters_of(p)
     if len(occurring) < len(gens):
         core, free = split_free_part(p)
-        child = _build(core, reg)
-        k = len(free)
-        return FreeSplit(p, child.bound if k == 0 else max(child.bound, 1), k, child)
+        yield FreeSplit, (len(free),), core
+        return
 
     if len(r) == 1:
-        return FreeLeaf(p, _free_bound(len(gens) - 1), rank=len(gens) - 1)
+        yield FreeLeaf, (len(gens) - 1,), None
+        return
 
     g = find_single_occurrence(p)
     if g is not None:
-        rank = len(gens) - 1
-        return SingleElim(p, _free_bound(rank), eliminated=g, resulting_rank=rank)
+        yield SingleElim, (g, len(gens) - 1), None
+        return
 
     if len(occurring) == 1:
         # Reduced power of a single generator, exponent at least 2 here.
-        return CyclicLeaf(p, 0, order=len(r))
+        yield CyclicLeaf, (len(r),), None
+        return
 
-    t = find_zero_exponent(p)
-    if t is not None:
-        rw = hnn_rewrite(p, t, reg)
-        child = _build(rw.child, reg)
-        return HnnStep(p, 1 + child.bound, rw, child)
+    if every:
+        pivots = [g for g in gens if exponent_sum(r, g) == 0]
+    else:
+        t = find_zero_exponent(p)
+        pivots = [] if t is None else [t]
+    if pivots:
+        for t in pivots:
+            rw = hnn_rewrite(p, t, reg)
+            yield HnnStep, (rw,), rw.child
+        return
 
-    u, v = choose_embedding_pair(p)
-    emb = zero_sum_embedding(p, u, v, reg)
-    inner = _build(emb.embedded, reg)
-    return EmbedStep(p, inner.bound, emb, inner)
+    for u, v in permutations(gens, 2) if every else [choose_embedding_pair(p)]:
+        emb = zero_sum_embedding(p, u, v, reg)
+        yield EmbedStep, (emb,), emb.embedded
+
+
+def _build(p: Presentation, reg: Registry) -> Node:
+    """Go down the chain taking the default step at each presentation,
+    then fold back up from the leaf, linking each node to its child."""
+    path = []
+    while p is not None:
+        cls, fields, below = next(_steps(p, reg, every=False))
+        path.append((cls, p, fields))
+        p = below
+    node = None
+    for cls, p, fields in reversed(path):
+        node = cls(p, *fields) if node is None else cls(p, *fields, node)
+    return node
 
 
 @dataclass(frozen=True)
@@ -237,20 +284,12 @@ class BoundReport:
 
 
 def summarize(root: Node) -> BoundReport:
-    hnn = 0
-    count = 0
-    node: Node | None = root
-    while node is not None:
-        count += 1
-        if isinstance(node, HnnStep):
-            hnn += 1
-        nxt = children(node)
-        node = nxt[0] if nxt else None
+    nodes = list(walk(root))
     return BoundReport(
         length_bound=ceil_half(len(root.presentation.relator)),
         tower_bound=root.bound,
-        hnn_steps=hnn,
-        node_count=count,
+        hnn_steps=sum(isinstance(node, HnnStep) for node in nodes),
+        node_count=len(nodes),
     )
 
 
@@ -264,40 +303,13 @@ def all_towers(p: Presentation, registry: Registry | None = None) -> Iterator[No
 
 
 def _alternatives(p: Presentation, reg: Registry) -> Iterator[Node]:
-    r = p.relator
-    gens = p.generators
-
-    if len(r) == 0 or len(r) == 1:
-        yield _build(p, reg)
-        return
-
-    occurring = letters_of(p)
-    if len(occurring) < len(gens):
-        core, free = split_free_part(p)
-        k = len(free)
-        for child in _alternatives(core, reg):
-            yield FreeSplit(p, child.bound if k == 0 else max(child.bound, 1), k, child)
-        return
-
-    if find_single_occurrence(p) is not None or len(occurring) == 1:
-        yield _build(p, reg)
-        return
-
-    pivots = [g for g in gens if exponent_sum(r, g) == 0]
-    if pivots:
-        for t in pivots:
-            rw = hnn_rewrite(p, t, reg)
-            for child in _alternatives(rw.child, reg):
-                yield HnnStep(p, 1 + child.bound, rw, child)
-        return
-
-    for u in gens:
-        for v in gens:
-            if u == v:
-                continue
-            emb = zero_sum_embedding(p, u, v, reg)
-            for inner in _alternatives(emb.embedded, reg):
-                yield EmbedStep(p, inner.bound, emb, inner)
+    # Recursive: the number of chains is exponential in the depth anyway.
+    for cls, fields, below in _steps(p, reg, every=True):
+        if below is None:
+            yield cls(p, *fields)
+        else:
+            for child in _alternatives(below, reg):
+                yield cls(p, *fields, child)
 
 
 def best_tower(

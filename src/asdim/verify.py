@@ -29,13 +29,18 @@ follow: an HNN renaming maps distinct fresh generators to distinct
 stable letter, and an embedding's stable and carrier letters are two new
 generators, so the inner presentation has as many generators as the
 parent.
+
+The nodes are checked in one loop from the root down.  A node's kind
+name and bound rule come from its class in asdim.tower, the rule the
+builder applies, so the verifier has no bound arithmetic of its own.  A
+rule only maps stored fields to an integer: the verifier still calls no
+rewriting code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .presentations import Presentation
 from .tower import (
     CyclicLeaf,
     EmbedStep,
@@ -44,6 +49,7 @@ from .tower import (
     HnnStep,
     Node,
     SingleElim,
+    walk,
 )
 from .words import (
     Letter,
@@ -59,15 +65,6 @@ from .words import (
 )
 
 __all__ = ["VerificationReport", "Violation", "verify_certificate"]
-
-_KIND = {
-    FreeLeaf: "free_leaf",
-    CyclicLeaf: "cyclic_leaf",
-    SingleElim: "single_elim",
-    FreeSplit: "free_split",
-    HnnStep: "case1_hnn",
-    EmbedStep: "case2_embed",
-}
 
 
 @dataclass(frozen=True)
@@ -97,102 +94,76 @@ class VerificationReport:
 
 def verify_certificate(root: Node) -> VerificationReport:
     out: list[Violation] = []
-    _verify(root, 0, out)
+    for depth, node in enumerate(walk(root)):
+        checks = _CHECKS.get(type(node))
+        if checks is None:
+            name = type(node).__name__
+            out.append(Violation(depth, name, "kind", "unknown node type"))
+            break
+        kind = node.kind
+
+        def flag(check: str, detail: str) -> None:
+            out.append(Violation(depth, kind, check, detail))
+
+        checks(node, node.presentation.relator, flag)
+        expected = node.bound_by_rule()
+        if node.bound != expected:
+            flag("bound", f"stored {node.bound}, arithmetic gives {expected}")
     return VerificationReport(tuple(out))
 
 
-def _verify(node: Node, depth: int, out: list[Violation]) -> None:
-    kind = _KIND.get(type(node))
-    if kind is None:
-        out.append(Violation(depth, type(node).__name__, "kind", "unknown node type"))
-        return
-
-    def flag(check: str, detail: str) -> None:
-        out.append(Violation(depth, kind, check, detail))
-
+def _verify_free_leaf(node: FreeLeaf, r: Word, flag) -> None:
     p = node.presentation
-    r = p.relator
-
-    if isinstance(node, FreeLeaf):
-        if len(r) == 0:
-            expected = len(p.generators)
-        elif len(r) == 1:
-            expected = len(p.generators) - 1
-        else:
-            flag("relator shape", f"relator has length {len(r)}, expected 0 or 1")
-            expected = None
-        if expected is not None and node.rank != expected:
-            flag("rank", f"stored {node.rank}, expected {expected}")
-        _check_bound(node, 0 if node.rank == 0 else 1, flag)
-        return
-
-    if isinstance(node, CyclicLeaf):
-        distinct = {l.gen for l in r}
-        if len(distinct) != 1 or len(p.generators) != 1:
-            flag("relator shape", "not a one-generator power presentation")
-        if node.order != len(r):
-            flag("order", f"stored {node.order}, relator length {len(r)}")
-        if node.order < 2:
-            flag("order", f"stored {node.order}, expected at least 2")
-        _check_bound(node, 0, flag)
-        return
-
-    if isinstance(node, SingleElim):
-        if node.eliminated not in p.generators:
-            flag("eliminated", f"{node.eliminated.name} is not a generator here")
-        n = occurrence_count(r, node.eliminated)
-        if n != 1:
-            flag("occurrence", f"{node.eliminated.name} occurs {n} times, need exactly 1")
-        if node.resulting_rank != len(p.generators) - 1:
-            flag(
-                "rank",
-                f"stored {node.resulting_rank}, expected {len(p.generators) - 1}",
-            )
-        _check_bound(node, 0 if node.resulting_rank == 0 else 1, flag)
-        return
-
-    if isinstance(node, FreeSplit):
-        core = node.child.presentation
-        if core.relator.letters != r.letters:
-            flag("core relator", "differs from the parent relator")
-        parent_set = set(p.generators)
-        core_set = set(core.generators)
-        if not core_set <= parent_set:
-            flag("core generators", "not a subset of the parent generators")
-        absent = [g for g in p.generators if g not in core_set]
-        for g in absent:
-            if occurrence_count(r, g) != 0:
-                flag("split-off absent", f"{g.name} occurs in the relator")
-        for g in core.generators:
-            if occurrence_count(r, g) == 0:
-                flag("core occurring", f"{g.name} does not occur in the relator")
-        if node.split_off_rank != len(absent):
-            flag(
-                "split-off rank",
-                f"stored {node.split_off_rank}, expected {len(absent)}",
-            )
-        child_bound = node.child.bound
-        expected = child_bound if node.split_off_rank == 0 else max(child_bound, 1)
-        _check_bound(node, expected, flag)
-        _verify(node.child, depth + 1, out)
-        return
-
-    if isinstance(node, HnnStep):
-        _verify_hnn(node, r, flag)
-        _check_bound(node, 1 + node.child.bound, flag)
-        _verify(node.child, depth + 1, out)
-        return
-
-    if isinstance(node, EmbedStep):
-        _verify_embed(node, p, r, flag)
-        _check_bound(node, node.inner.bound, flag)
-        _verify(node.inner, depth + 1, out)
-        return
+    if len(r) == 0:
+        expected = len(p.generators)
+    elif len(r) == 1:
+        expected = len(p.generators) - 1
+    else:
+        flag("relator shape", f"relator has length {len(r)}, expected 0 or 1")
+        expected = None
+    if expected is not None and node.rank != expected:
+        flag("rank", f"stored {node.rank}, expected {expected}")
 
 
-def _check_bound(node: Node, expected: int, flag) -> None:
-    if node.bound != expected:
-        flag("bound", f"stored {node.bound}, arithmetic gives {expected}")
+def _verify_cyclic_leaf(node: CyclicLeaf, r: Word, flag) -> None:
+    distinct = {l.gen for l in r}
+    if len(distinct) != 1 or len(node.presentation.generators) != 1:
+        flag("relator shape", "not a one-generator power presentation")
+    if node.order != len(r):
+        flag("order", f"stored {node.order}, relator length {len(r)}")
+    if node.order < 2:
+        flag("order", f"stored {node.order}, expected at least 2")
+
+
+def _verify_single_elim(node: SingleElim, r: Word, flag) -> None:
+    gens = node.presentation.generators
+    if node.eliminated not in gens:
+        flag("eliminated", f"{node.eliminated.name} is not a generator here")
+    n = occurrence_count(r, node.eliminated)
+    if n != 1:
+        flag("occurrence", f"{node.eliminated.name} occurs {n} times, need exactly 1")
+    if node.resulting_rank != len(gens) - 1:
+        flag("rank", f"stored {node.resulting_rank}, expected {len(gens) - 1}")
+
+
+def _verify_free_split(node: FreeSplit, r: Word, flag) -> None:
+    p = node.presentation
+    core = node.child.presentation
+    if core.relator.letters != r.letters:
+        flag("core relator", "differs from the parent relator")
+    parent_set = set(p.generators)
+    core_set = set(core.generators)
+    if not core_set <= parent_set:
+        flag("core generators", "not a subset of the parent generators")
+    absent = [g for g in p.generators if g not in core_set]
+    for g in absent:
+        if occurrence_count(r, g) != 0:
+            flag("split-off absent", f"{g.name} occurs in the relator")
+    for g in core.generators:
+        if occurrence_count(r, g) == 0:
+            flag("core occurring", f"{g.name} does not occur in the relator")
+    if node.split_off_rank != len(absent):
+        flag("split-off rank", f"stored {node.split_off_rank}, expected {len(absent)}")
 
 
 def _verify_hnn(node: HnnStep, r: Word, flag) -> None:
@@ -266,7 +237,8 @@ def _verify_hnn(node: HnnStep, r: Word, flag) -> None:
             flag("max subscript", f"stored {rw.max_subscript}, expected {max(family)}")
 
 
-def _verify_embed(node: EmbedStep, p: Presentation, r: Word, flag) -> None:
+def _verify_embed(node: EmbedStep, r: Word, flag) -> None:
+    p = node.presentation
     emb = node.embedding
     u, v = emb.u, emb.v
 
@@ -306,7 +278,7 @@ def _verify_embed(node: EmbedStep, p: Presentation, r: Word, flag) -> None:
     if occurrence_count(emb.image, emb.carrier) < 1:
         flag("image carrier", "carrier letter does not occur in the image")
 
-    inner_p = node.inner.presentation
+    inner_p = node.child.presentation
     if inner_p.relator.letters != emb.image.letters:
         flag("inner relator", "differs from the stored image")
     expected_gens = {emb.stable, emb.carrier} | set(retained)
@@ -317,3 +289,13 @@ def _verify_embed(node: EmbedStep, p: Presentation, r: Word, flag) -> None:
             "inner generators",
             f"{len(inner_p.generators)} generators, parent has {len(p.generators)}",
         )
+
+
+_CHECKS = {
+    FreeLeaf: _verify_free_leaf,
+    CyclicLeaf: _verify_cyclic_leaf,
+    SingleElim: _verify_single_elim,
+    FreeSplit: _verify_free_split,
+    HnnStep: _verify_hnn,
+    EmbedStep: _verify_embed,
+}

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple
 
 __all__ = [
-    "Fresh",
     "Generator",
     "Letter",
     "MissingImageError",
@@ -49,26 +48,18 @@ class Subscripted:
     subscript: int
 
 
-@dataclass(frozen=True)
-class Fresh:
-    """Provenance of a generator invented by the engine, with a short
-    human-readable reason."""
-
-    reason: str
-
-
 @dataclass(frozen=True, eq=False)
 class Generator:
     """A generator atom.
 
     Two Generator objects are the same generator exactly when their uids
     agree; display names may repeat across construction steps.  origin is
-    None for user-declared symbols.
+    None except for conjugate-family generators.
     """
 
     name: str
     uid: int
-    origin: Subscripted | Fresh | None = None
+    origin: Subscripted | None = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Generator) and self.uid == other.uid
@@ -312,8 +303,10 @@ class Registry:
             raise ValueError("generator name must be nonempty")
         return Generator(name, next(_UIDS))
 
-    def fresh(self, name: str, reason: str) -> Generator:
-        return Generator(name, next(_UIDS), Fresh(reason))
+    def fresh(self, name: str) -> Generator:
+        """A new atom for a name the engine invented, which may repeat the
+        name of another atom."""
+        return Generator(name, next(_UIDS))
 
     def subscripted(self, base: Generator, subscript: int) -> Generator:
         """The conjugate-family generator written base@subscript.
@@ -337,6 +330,4 @@ class Registry:
         per registry so rendered names are deterministic."""
         self._pair_count += 1
         k = self._pair_count
-        t = Generator(f"t#{k}", next(_UIDS), Fresh(f"embedding stable letter {k}"))
-        b = Generator(f"b#{k}", next(_UIDS), Fresh(f"embedding carrier letter {k}"))
-        return t, b
+        return Generator(f"t#{k}", next(_UIDS)), Generator(f"b#{k}", next(_UIDS))

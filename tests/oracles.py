@@ -69,3 +69,31 @@ def naive_hnn_expansion(parent, child, renaming, stable) -> str | None:
     if naive_reduce(tuple(letters)) != parent.letters:
         return "expanded child relator differs from the parent relator"
     return None
+
+
+def naive_bound(root) -> int:
+    """The dimension bound a chain certifies, from its structure alone and
+    ignoring every stored bound: a free group of rank r has dimension
+    min(r, 1), a finite cyclic group 0, a free split takes the max with 1,
+    an HNN step adds 1 and an embedding passes the bound through."""
+    chain = []
+    node = root
+    while node is not None:
+        chain.append(node)
+        node = getattr(node, "child", None)
+    bound = 0
+    for node in reversed(chain):
+        kind = type(node).__name__
+        if kind == "FreeLeaf":
+            bound = min(node.rank, 1)
+        elif kind == "CyclicLeaf":
+            bound = 0
+        elif kind == "SingleElim":
+            bound = min(node.resulting_rank, 1)
+        elif kind == "FreeSplit":
+            bound = max(bound, 1) if node.split_off_rank else bound
+        elif kind == "HnnStep":
+            bound += 1
+        elif kind != "EmbedStep":
+            raise TypeError(f"not a chain node: {node!r}")
+    return bound

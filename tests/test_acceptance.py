@@ -22,7 +22,6 @@ from asdim import (
     all_cyclically_reduced_words,
     build_tower,
     ceil_half,
-    children,
     concat,
     exponent_sum,
     format_presentation,
@@ -35,6 +34,7 @@ from asdim import (
     single,
     summarize,
     verify_certificate,
+    walk,
 )
 from oracles import naive_reduce
 
@@ -43,16 +43,6 @@ RANDOM_SEED = 20240817
 
 def _passed(line: str) -> None:
     print(f"ACCEPTANCE PASS: {line}")
-
-
-def _chain(root):
-    out = []
-    node = root
-    while node is not None:
-        out.append(node)
-        nxt = children(node)
-        node = nxt[0] if nxt else None
-    return out
 
 
 def test_exhaustive_small_scale_bound_and_verification():
@@ -122,7 +112,7 @@ def test_trefoil_presentation():
     report = summarize(root)
     assert report.length_bound == 3
     assert report.tower_bound == 2
-    kinds = [type(n) for n in _chain(root)]
+    kinds = [type(n) for n in walk(root)]
     assert kinds == [EmbedStep, HnnStep, SingleElim]
     assert verify_certificate(root).ok
     _passed("trefoil relator: bound 2 via embed, HNN, elimination")
@@ -359,13 +349,13 @@ def _tamper_cases():
         ),
     )
     inner_bad = dataclasses.replace(
-        emb_node.inner,
+        emb_node.child,
         presentation=Presentation(
-            emb_node.inner.presentation.generators,
-            Word(emb_node.inner.presentation.relator.letters[:-1]),
+            emb_node.child.presentation.generators,
+            Word(emb_node.child.presentation.relator.letters[:-1]),
         ),
     )
-    add("case2_embed inner relator", dataclasses.replace(emb_node, inner=inner_bad))
+    add("case2_embed inner relator", dataclasses.replace(emb_node, child=inner_bad))
     add(
         "case2_embed presentation",
         pres(emb_node, "< u, v | u^2 v^2 >", Registry()),

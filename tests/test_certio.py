@@ -91,6 +91,15 @@ class TestParseErrors:
         with pytest.raises(CertificateError):
             parse_certificate("not json at all")
 
+    def test_nesting_beyond_the_json_limit(self):
+        depth = 3000
+        text = (
+            '{"schema_version": 1, "root": '
+            + '{"child": ' * depth + "{}" + "}" * depth + "}"
+        )
+        with pytest.raises(CertificateError, match="document nested too deeply"):
+            parse_certificate(text)
+
     def test_wrong_schema_version(self):
         doc = json.loads(emit_certificate(build("< a | a^2 >")))
         doc["schema_version"] = 2

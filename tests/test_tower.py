@@ -3,6 +3,10 @@ determinism, and the relator-length bound."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -19,26 +23,39 @@ from asdim import (
     SingleElim,
     all_towers,
     best_tower,
-    bound_of,
     build_tower,
     ceil_half,
-    children,
     emit_certificate,
     format_presentation,
     parse_presentation,
     random_presentation,
     summarize,
+    verify_certificate,
+    walk,
 )
+from oracles import naive_bound
 
 
 def chain_kinds(root):
-    out = []
-    node = root
-    while node is not None:
-        out.append(type(node).__name__)
-        nxt = children(node)
-        node = nxt[0] if nxt else None
-    return out
+    return [type(node).__name__ for node in walk(root)]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Every pass over a chain at a recursion limit far below the chain's
+# depth; prints node count, verdict and rendered lines.
+LOW_LIMIT_PIPELINE = """
+import sys
+from asdim import (
+    Registry, build_tower, parse_presentation, render_tree, summarize,
+    verify_certificate,
+)
+sys.setrecursionlimit(150)
+reg = Registry()
+root = build_tower(parse_presentation(sys.argv[1], reg), reg)
+report = verify_certificate(root)
+print(summarize(root).node_count, report.ok, len(render_tree(root).splitlines()))
+"""
 
 
 def build(text):
@@ -145,7 +162,7 @@ class TestFrozenChains:
         assert chain_kinds(root) == ["EmbedStep", "HnnStep", "SingleElim"]
         rep = summarize(root)
         assert (rep.length_bound, rep.tower_bound) == (3, 2)
-        hnn = root.inner
+        hnn = root.child
         assert (hnn.rewrite.min_subscript, hnn.rewrite.max_subscript) == (-3, 0)
         elim = hnn.child
         assert elim.eliminated.name == "b#1@-3"
@@ -159,7 +176,7 @@ class TestFrozenChains:
     def test_stable_vanishes_chain(self):
         root = build("< u, v | u v u v >")
         assert chain_kinds(root) == ["EmbedStep", "FreeSplit", "CyclicLeaf"]
-        assert root.inner.child.order == 2
+        assert root.child.child.order == 2
         assert summarize(root).tower_bound == 1
 
     def test_genus_two_chain(self):
@@ -180,12 +197,15 @@ class TestFrozenChains:
 
 class TestBoundArithmetic:
     def test_leaf_bounds(self):
-        free0 = build("< a | a >")
-        assert bound_of(free0) == 0
-        free2 = build("< a, b | 1 >")
-        assert bound_of(free2) == 1
-        cyclic = build("< a | a^5 >")
-        assert bound_of(cyclic) == 0
+        for text, expected in (
+            ("< a | a >", 0),
+            ("< a, b | 1 >", 1),
+            ("< a | a^5 >", 0),
+            ("< a, b | b a b >", 1),
+        ):
+            leaf = build(text)
+            assert leaf.child is None
+            assert leaf.bound == leaf.bound_by_rule() == naive_bound(leaf) == expected
 
     def test_split_bound_is_at_least_one_for_positive_rank(self):
         root = build("< a, b, c | a^3 >")
@@ -200,14 +220,18 @@ class TestBoundArithmetic:
 
     def test_embed_passes_through(self):
         root = build("< u, v | u^2 v^3 >")
-        assert root.bound == root.inner.bound
+        assert root.bound == root.child.bound
 
     def test_bound_of_ignores_stored_bounds(self):
         import dataclasses
 
         root = build("< a, b | a b a^-1 b^-1 >")
         tampered = dataclasses.replace(root, bound=root.bound + 5)
-        assert bound_of(tampered) == root.bound
+        assert naive_bound(tampered) == root.bound
+        assert tampered.bound_by_rule() == root.bound
+        child = dataclasses.replace(root.child, bound=root.child.bound + 5)
+        assert naive_bound(dataclasses.replace(root, child=child)) == root.bound
+        assert [v.check for v in verify_certificate(tampered).violations] == ["bound"]
 
     def test_stored_bounds_match_recomputation(self):
         for text in (
@@ -216,12 +240,8 @@ class TestBoundArithmetic:
             "< a, b | a^3 >",
             "< a, t | t a^2 t^-1 a^-3 >",
         ):
-            root = build(text)
-            node = root
-            while node is not None:
-                assert node.bound == bound_of(node)
-                nxt = children(node)
-                node = nxt[0] if nxt else None
+            for node in walk(build(text)):
+                assert node.bound == naive_bound(node)
 
 
 class TestSummarize:
@@ -265,6 +285,23 @@ class TestProperties:
         root = build(f"< a, b | b^-1 a^{k} b^-1 a^{k} >")
         n = len(root.presentation.relator)
         assert len(chain_kinds(root)) == depth_bound(root) == n - 1
+
+    def test_chain_passes_do_not_recurse(self):
+        # 201 nodes: recursion over the nodes would not fit in 150 frames.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        text = "< a, b | b^-1 a^100 b^-1 a^100 >"
+        proc = subprocess.run(
+            [sys.executable, "-c", LOW_LIMIT_PIPELINE, text],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["201", "True", "201"]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
@@ -315,3 +352,5 @@ class TestAlternatives:
         p = random_presentation(rng, reg, max_gens=3, max_len=8)
         for root in all_towers(p):
             assert root.bound <= ceil_half(len(p.relator))
+            for node in walk(root):
+                assert node.bound == naive_bound(node)

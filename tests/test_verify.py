@@ -15,11 +15,11 @@ from asdim import (
     Registry,
     Word,
     build_tower,
-    children,
     parse_certificate,
     parse_presentation,
     random_presentation,
     verify_certificate,
+    walk,
 )
 from oracles import naive_hnn_expansion
 
@@ -257,14 +257,7 @@ def hnn_nodes(seed: int, max_len: int) -> list[HnnStep]:
     rng = Random(seed)
     reg = Registry()
     p = random_presentation(rng, reg, max_gens=3, max_len=max_len)
-    out = []
-    node = build_tower(p, reg)
-    while node is not None:
-        if isinstance(node, HnnStep):
-            out.append(node)
-        nxt = children(node)
-        node = nxt[0] if nxt else None
-    return out
+    return [node for node in walk(build_tower(p, reg)) if isinstance(node, HnnStep)]
 
 
 def expansion_verdict(node: HnnStep) -> str | None:
