@@ -14,6 +14,7 @@ chain with it.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NamedTuple
 
 from .presentations import (
@@ -223,12 +224,37 @@ def _fields(node: Node) -> dict[str, Any]:
     }
 
 
+def _json(value: Any, pad: str) -> str:
+    """value as json.dumps(indent=2) writes it on a line indented by pad."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is list and value:
+        inner = pad + "  "
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value)
+
+
 def emit_certificate(root: Node) -> str:
-    nodes = list(walk(root))
-    objects = [_fields(node) for node in nodes]
-    for node, obj, below in zip(nodes, objects, objects[1:]):
-        obj[_KINDS[type(node)].link] = below
-    return json.dumps({"schema_version": SCHEMA_VERSION, "root": objects[0]}, indent=2)
+    """The v1 document, byte for byte what json.dumps(doc, indent=2)
+    writes for the nested node objects, built in one loop over the chain
+    so that its depth is not limited by the interpreter's recursion
+    limit."""
+    parts = [f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "root": ']
+    for depth, node in enumerate(walk(root), 1):
+        pad = "\n" + "  " * (depth + 1)
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json(v, pad)}"
+            for k, v in _fields(node).items()
+        ]
+        if node.child is not None:
+            items.append(encode_basestring_ascii(_KINDS[type(node)].link) + ": ")
+        parts.append("{" + pad + ("," + pad).join(items))
+    # Close the innermost node's object first and the document last.
+    parts.extend("\n" + "  " * d + "}" for d in range(depth, -1, -1))
+    return "".join(parts)
 
 
 def parse_certificate(text: str, registry: Registry | None = None) -> Node:
@@ -240,7 +266,7 @@ def parse_certificate(text: str, registry: Registry | None = None) -> Node:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
         raise CertificateError(f"not valid JSON: {e}") from None
     except RecursionError:
         raise CertificateError("document nested too deeply") from None

@@ -14,6 +14,15 @@ and [x, y] is the commutator x y x^-1 y^-1, expanded before any power is
 applied.  Powers are expanded into explicit letter sequences at parse
 time; nothing downstream ever sees an exponent.
 
+Text is read one term at a time: a single compiled pattern matches a
+whole term with its power, so the Python-level work of a parse grows
+with the number of terms, not with letters or characters.  A
+presentation's relator is freely reduced on runs as it is read (a run of
+one generator folds its exponents and is dropped at zero) and expanded
+into letters only then, so the Presentation constructor is left to strip
+the ends.  parse_word keeps a word's letters exactly as written: the
+certificate verifier compares stored words letter for letter.
+
 Certificates need two relaxations that user input does not get: cores of
 free splits can have an empty generator list, and engine-invented names
 contain "@" and "#" segments.  Both are opt-in keyword flags.
@@ -23,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .words import (
     Generator,
@@ -32,7 +41,6 @@ from .words import (
     Word,
     cyclic_reduce,
     format_word,
-    inverse,
 )
 
 __all__ = [
@@ -78,16 +86,14 @@ class Presentation:
     relator: Word
 
     def __post_init__(self) -> None:
-        if len(set(self.generators)) != len(self.generators):
+        declared = set(self.generators)
+        if len(declared) != len(self.generators):
             raise ValueError("duplicate generator in presentation")
         core = cyclic_reduce(self.relator).core
         object.__setattr__(self, "relator", core)
-        declared = set(self.generators)
-        for l in core:
-            if l.gen not in declared:
-                raise ValueError(
-                    f"relator uses undeclared generator {l.gen.name}"
-                )
+        if not letters_of(self) <= declared:
+            first = next(l.gen for l in core if l.gen not in declared)
+            raise ValueError(f"relator uses undeclared generator {first.name}")
 
     def __repr__(self) -> str:
         return f"Presentation({format_presentation(self)!r})"
@@ -95,7 +101,8 @@ class Presentation:
 
 def letters_of(p: Presentation) -> set[Generator]:
     """The set of generators that actually occur in the relator."""
-    return {l.gen for l in p.relator}
+    # set() hashes every letter in C; the loop sees each distinct one.
+    return {l.gen for l in set(p.relator.letters)}
 
 
 def format_presentation(p: Presentation) -> str:
@@ -104,131 +111,97 @@ def format_presentation(p: Presentation) -> str:
     return f"{head}| {format_word(p.relator)} >"
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident", "int", or a literal punctuation character
-    text: str
-    pos: int
-
-
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # Engine names append @i (integer subscript, possibly negative) and #k
-# segments to a plain ident; both may stack.
-_IDENT_EXT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:[@#]-?[0-9]+)*")
-_PUNCT = "<>|,[]^"
+# segments to a plain ident; both may stack.  The pattern always accepts
+# them, and a name that has one is rejected unless extended_names is set.
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*(?:[@#]-?[0-9]+)*"
+_POWER = r"(?:\s*\^\s*(-?)\s*([0-9]+))?"
+# Whitespace and then one whole term with the whitespace after it, or
+# only the whitespace.  Groups: 1 the term; 2 an ident, 3 and 4 its
+# power's sign and digits; 5 and 6 a commutator's idents, 7 and 8 its
+# power's sign and digits.  After any match, end() is at a non-space
+# character or at the end of the text.
+_TERM = re.compile(
+    rf"\s*(?:(({_IDENT}){_POWER}|\[\s*({_IDENT})\s*,\s*({_IDENT})\s*\]{_POWER})\s*)?"
+)
+
+# A run: the (x, x^-1) letter pair of one generator and an exponent.
+_Pair = tuple[Letter, Letter]
+_Run = tuple[_Pair, int]
 
 
-def _tokenize(text: str, extended_names: bool) -> list[_Token]:
-    ident_re = _IDENT_EXT_RE if extended_names else _IDENT_RE
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT or c == "-":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        m = ident_re.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    return tokens
+def _error(text: str, pos: int, expected: str) -> ParseError:
+    found = repr(text[pos]) if pos < len(text) else "end of input"
+    return ParseError(f"expected {expected}, found {found}", pos)
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], end: int):
-        self.tokens = tokens
-        self.i = 0
-        self.end = end  # position just past the input, for EOF errors
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", self.end)
-        self.i += 1
-        return t
-
-    def accept(self, kind: str) -> _Token | None:
-        t = self.peek()
-        if t is not None and t.kind == kind:
-            self.i += 1
-            return t
-        return None
-
-    def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t is None:
-            raise ParseError(f"expected {kind!r}", self.end)
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text!r}", t.pos)
-        self.i += 1
-        return t
+def _check_name(name: str, pos: int, extended: bool) -> None:
+    if not extended:
+        for i, c in enumerate(name):
+            if c in "@#":
+                raise ParseError(f"unexpected character {c!r}", pos + i)
 
 
-def _parse_power(ps: _Parser) -> int:
-    if not ps.accept("^"):
-        return 1
-    negative = ps.accept("-") is not None
-    t = ps.expect("int")
-    value = int(t.text)
-    return -value if negative else value
+def _pair(
+    pairs: dict[str, _Pair],
+    name: str,
+    pos: int,
+    resolve: Callable[[str, int], Generator],
+    extended: bool,
+) -> _Pair:
+    """The letter pair of a name not seen before in this text."""
+    _check_name(name, pos, extended)
+    g = resolve(name, pos)
+    pair = pairs[name] = (Letter(g, 1), Letter(g, -1))
+    return pair
 
 
-def _repeat(letters: list[Letter], power: int) -> list[Letter]:
-    if power >= 0:
-        return letters * power
-    return list(inverse(Word(tuple(letters))).letters) * (-power)
+def _unknown(name: str, pos: int) -> Generator:
+    raise UnknownGeneratorError(name, pos)
 
 
-def _parse_word_body(
-    ps: _Parser, resolve: Callable[[str, int], Generator], stop_kinds: set[str]
-) -> Word:
-    first = ps.peek()
-    if first is not None and first.kind == "int" and first.text == "1":
-        ps.next()
-        return Word((), reduced=True)
-    letters: list[Letter] = []
-    saw_term = False
+def _runs(
+    text: str,
+    pos: int,
+    pairs: dict[str, _Pair],
+    resolve: Callable[[str, int], Generator],
+    extended: bool,
+) -> tuple[list[_Run], int]:
+    """Scan the word that starts at pos, one term per match.
+
+    Returns its runs in text order, unreduced (a commutator gives four
+    per repetition), and the position where scanning stopped: the first
+    character after the word and the whitespace behind it.  pairs holds
+    the letter pair of each name seen so far; resolve is asked once for
+    each name that is not in it.
+    """
+    match = _TERM.match
+    runs: list[_Run] = []
+    first = m = match(text, pos)
     while True:
-        t = ps.peek()
-        if t is None or t.kind in stop_kinds:
+        term, name, neg, n, x, y, cneg, cn = m.groups()
+        if term is None:
             break
-        if t.kind == "ident":
-            ps.next()
-            g = resolve(t.text, t.pos)
-            power = _parse_power(ps)
-            letters.extend((Letter(g, 1 if power >= 0 else -1),) * abs(power))
-            saw_term = True
-        elif t.kind == "[":
-            ps.next()
-            x = ps.expect("ident")
-            ps.expect(",")
-            y = ps.expect("ident")
-            ps.expect("]")
-            gx, gy = resolve(x.text, x.pos), resolve(y.text, y.pos)
-            comm = [Letter(gx, 1), Letter(gy, 1), Letter(gx, -1), Letter(gy, -1)]
-            letters.extend(_repeat(comm, _parse_power(ps)))
-            saw_term = True
+        if name is not None:
+            e = int(n) if n is not None else 1
+            pair = pairs.get(name) or _pair(pairs, name, m.start(2), resolve, extended)
+            runs.append((pair, -e if neg else e))
         else:
-            raise ParseError(f"unexpected token {t.text!r} in word", t.pos)
-    if not saw_term:
-        pos = first.pos if first is not None else ps.end
-        raise ParseError("expected a word", pos)
-    return Word(tuple(letters))
+            px = pairs.get(x) or _pair(pairs, x, m.start(5), resolve, extended)
+            py = pairs.get(y) or _pair(pairs, y, m.start(6), resolve, extended)
+            if cneg:
+                once = ((py, 1), (px, 1), (py, -1), (px, -1))
+            else:
+                once = ((px, 1), (py, 1), (px, -1), (py, -1))
+            runs += once * (int(cn) if cn is not None else 1)
+        m = match(text, m.end())
+    if m is not first:
+        return runs, m.end()
+    at = m.end()
+    if not text.startswith("1", at):
+        raise _error(text, at, "a word")
+    m = match(text, at + 1)
+    return runs, m.end() if m.group(1) is None else m.start(1)
 
 
 def parse_word(
@@ -239,15 +212,18 @@ def parse_word(
 ) -> Word:
     """Parse a bare word (the grammar's word production) on its own.
 
-    resolve maps an identifier and its position to a generator; it may
-    raise UnknownGeneratorError or intern new atoms as the caller sees fit.
+    The letters are exactly those written, powers expanded, with no
+    cancellation.  resolve maps an identifier and its position to a
+    generator; it may raise UnknownGeneratorError or intern new atoms as
+    the caller sees fit.  It is asked once per distinct identifier.
     """
-    ps = _Parser(_tokenize(text, extended_names), len(text))
-    w = _parse_word_body(ps, resolve, stop_kinds=set())
-    t = ps.peek()
-    if t is not None:
-        raise ParseError(f"trailing input {t.text!r}", t.pos)
-    return w
+    runs, pos = _runs(text, 0, {}, resolve, extended_names)
+    if pos != len(text):
+        raise _error(text, pos, "end of input")
+    letters: list[Letter] = []
+    for pair, e in runs:
+        letters += (pair[e < 0],) * abs(e)
+    return Word(tuple(letters))
 
 
 def parse_presentation(
@@ -267,37 +243,55 @@ def parse_presentation(
     """
     reg = registry if registry is not None else Registry()
     make = declare if declare is not None else reg.declare
+    match = _TERM.match
 
-    ps = _Parser(_tokenize(text, extended_names), len(text))
-    ps.accept("<")
-
+    m = match(text)
+    if m.group(1) is None and text.startswith("<", m.end()):
+        m = match(text, m.end() + 1)
     gens: list[Generator] = []
-    table: dict[str, Generator] = {}
-    t = ps.peek()
-    if t is not None and t.kind == "ident":
-        while True:
-            t = ps.expect("ident")
-            if t.text in table:
-                raise ParseError(f"duplicate generator {t.text!r}", t.pos)
-            g = make(t.text)
-            table[t.text] = g
-            gens.append(g)
-            if not ps.accept(","):
-                break
+    pairs: dict[str, _Pair] = {}
+    pos = m.end()
+    while m.group(1) is not None:
+        term, name, _, n = m.group(1, 2, 3, 4)
+        at = m.start(1)
+        if name is None or n is not None:
+            raise ParseError(f"expected a generator name, found {term!r}", at)
+        if name in pairs:
+            raise ParseError(f"duplicate generator {name!r}", at)
+        _check_name(name, at, extended_names)
+        g = make(name)
+        gens.append(g)
+        pairs[name] = (Letter(g, 1), Letter(g, -1))
+        pos = m.end()
+        if not text.startswith(",", pos):
+            break
+        m = match(text, pos + 1)
+        if m.group(1) is None:
+            raise _error(text, m.end(), "a generator name")
     if not gens and not allow_empty_generators:
-        t = ps.peek()
-        raise EmptyGeneratorsError(t.pos if t is not None else ps.end)
-    ps.expect("|")
+        raise EmptyGeneratorsError(pos)
+    if not text.startswith("|", pos):
+        raise _error(text, pos, "'|'")
 
-    def resolve(name: str, pos: int) -> Generator:
-        g = table.get(name)
-        if g is None:
-            raise UnknownGeneratorError(name, pos)
-        return g
+    runs, pos = _runs(text, pos + 1, pairs, _unknown, extended_names)
+    if text.startswith(">", pos):
+        m = match(text, pos + 1)
+        pos = m.end() if m.group(1) is None else m.start(1)
+    if pos != len(text):
+        raise _error(text, pos, "end of input")
 
-    relator = _parse_word_body(ps, resolve, stop_kinds={">"})
-    ps.accept(">")
-    t = ps.peek()
-    if t is not None:
-        raise ParseError(f"trailing input {t.text!r}", t.pos)
-    return Presentation(tuple(gens), relator)
+    # Free reduction on runs: adjacent runs on the stack have distinct
+    # generators and nonzero exponents, so their letters are reduced.
+    stack: list[list] = []
+    for pair, e in runs:
+        if stack and stack[-1][0] is pair:
+            top = stack[-1]
+            top[1] += e
+            if not top[1]:
+                stack.pop()
+        elif e:
+            stack.append([pair, e])
+    letters: list[Letter] = []
+    for pair, e in stack:
+        letters += (pair[e < 0],) * abs(e)
+    return Presentation(tuple(gens), Word(tuple(letters), reduced=True))

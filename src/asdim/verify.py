@@ -112,6 +112,11 @@ def verify_certificate(root: Node) -> VerificationReport:
     return VerificationReport(tuple(out))
 
 
+def _occurring(w: Word) -> set:
+    """The generators that occur in w, from one pass over its letters in C."""
+    return {l.gen for l in set(w.letters)}
+
+
 def _verify_free_leaf(node: FreeLeaf, r: Word, flag) -> None:
     p = node.presentation
     if len(r) == 0:
@@ -126,8 +131,7 @@ def _verify_free_leaf(node: FreeLeaf, r: Word, flag) -> None:
 
 
 def _verify_cyclic_leaf(node: CyclicLeaf, r: Word, flag) -> None:
-    distinct = {l.gen for l in r}
-    if len(distinct) != 1 or len(node.presentation.generators) != 1:
+    if len(_occurring(r)) != 1 or len(node.presentation.generators) != 1:
         flag("relator shape", "not a one-generator power presentation")
     if node.order != len(r):
         flag("order", f"stored {node.order}, relator length {len(r)}")
@@ -155,12 +159,13 @@ def _verify_free_split(node: FreeSplit, r: Word, flag) -> None:
     core_set = set(core.generators)
     if not core_set <= parent_set:
         flag("core generators", "not a subset of the parent generators")
+    occurring = _occurring(r)
     absent = [g for g in p.generators if g not in core_set]
     for g in absent:
-        if occurrence_count(r, g) != 0:
+        if g in occurring:
             flag("split-off absent", f"{g.name} occurs in the relator")
     for g in core.generators:
-        if occurrence_count(r, g) == 0:
+        if g not in occurring:
             flag("core occurring", f"{g.name} does not occur in the relator")
     if node.split_off_rank != len(absent):
         flag("split-off rank", f"stored {node.split_off_rank}, expected {len(absent)}")
@@ -224,7 +229,7 @@ def _verify_hnn(node: HnnStep, r: Word, flag) -> None:
     if len(s) > len(r) - 2:
         flag("length", f"child relator has length {len(s)}, parent {len(r)}")
 
-    present = {l.gen for l in s}
+    present = _occurring(s)
     family = [
         e.subscript for e in entries if e.base == rw.base and e.fresh in present
     ]

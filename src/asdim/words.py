@@ -1,10 +1,10 @@
 """Exact word arithmetic in finitely generated free groups.
 
-Generators are interned atoms whose identity is a registry-issued uid,
-never the display name.  Words are immutable sequences of signed letters;
-every operation is pure.  The only mutable object is the Registry.  No
-code path in the package is concurrent; a registry belongs to one
-pipeline at a time.
+Generators are atoms made only by a Registry, each with a fresh uid,
+never identified by display name: a generator is equal only to itself.
+Words are immutable sequences of signed letters; every operation is
+pure.  The only mutable object is the Registry.  No code path in the
+package is concurrent; a registry belongs to one pipeline at a time.
 """
 
 from __future__ import annotations
@@ -50,22 +50,20 @@ class Subscripted:
 
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """A generator atom.
+    """A generator atom, equal only to itself.
 
-    Two Generator objects are the same generator exactly when their uids
-    agree; display names may repeat across construction steps.  origin is
-    None except for conjugate-family generators.
+    Registry is the only constructor and gives every atom a fresh uid, so
+    no two objects share one, and object identity decides equality
+    exactly as comparing uids would.  Equality and hashing are therefore
+    object's own, and set and dict lookups and comparisons of letters run
+    without calling back into Python.  Display names may repeat across
+    construction steps.  origin is None except for conjugate-family
+    generators.
     """
 
     name: str
     uid: int
     origin: Subscripted | None = None
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Generator) and self.uid == other.uid
-
-    def __hash__(self) -> int:
-        return hash(self.uid)
 
     def __repr__(self) -> str:
         return self.name
@@ -149,14 +147,12 @@ def reduce_word(w: Word) -> Word:
     """
     if w.reduced:
         return w
-    # Signs are compared before uids, and uids stand in for
-    # Generator.__eq__, which compares exactly them.
     stack: list[Letter] = []
     push, pop = stack.append, stack.pop
     for l in w.letters:
         if stack:
             top = stack[-1]
-            if top.sign == -l.sign and top.gen.uid == l.gen.uid:
+            if top.sign == -l.sign and top.gen is l.gen:
                 pop()
                 continue
         push(l)
@@ -182,9 +178,11 @@ def cyclic_reduce(w: Word) -> CyclicReduction:
     red = reduce_word(w)
     ls = red.letters
     i, j = 0, len(ls)
-    while j - i >= 2 and ls[i].gen == ls[j - 1].gen and ls[i].sign == -ls[j - 1].sign:
+    while j - i >= 2 and ls[i].gen is ls[j - 1].gen and ls[i].sign == -ls[j - 1].sign:
         i += 1
         j -= 1
+    if i == 0:
+        return CyclicReduction(red, EMPTY_WORD)
     # Contiguous slices of a reduced word are reduced.
     return CyclicReduction(
         Word(ls[i:j], reduced=True), Word(ls[:i], reduced=True)
@@ -192,13 +190,11 @@ def cyclic_reduce(w: Word) -> CyclicReduction:
 
 
 def exponent_sum(w: Word, gen: Generator) -> int:
-    uid = gen.uid
-    return sum(l.sign for l in w.letters if l.gen.uid == uid)
+    return w.letters.count(Letter(gen, 1)) - w.letters.count(Letter(gen, -1))
 
 
 def occurrence_count(w: Word, gen: Generator) -> int:
-    uid = gen.uid
-    return sum(1 for l in w.letters if l.gen.uid == uid)
+    return w.letters.count(Letter(gen, 1)) + w.letters.count(Letter(gen, -1))
 
 
 class MissingImageError(ValueError):
@@ -236,7 +232,7 @@ def equal_as_cyclic_words(a: Word, b: Word) -> bool:
 
     Linear time: unless the cores are equal as they stand, a
     prefix-function (Knuth-Morris-Pratt) search for a's core in b's core
-    doubled, over (uid, sign) keys.
+    doubled.
     """
     ca = cyclic_reduce(a).core.letters
     cb = cyclic_reduce(b).core.letters
@@ -244,12 +240,10 @@ def equal_as_cyclic_words(a: Word, b: Word) -> bool:
         return False
     if ca == cb:
         return True
-    ka = [(l.gen.uid, l.sign) for l in ca]
-    kb = [(l.gen.uid, l.sign) for l in cb]
-    return _occurs_in(ka, kb + kb[:-1])
+    return _occurs_in(ca, cb + cb[:-1])
 
 
-def _occurs_in(pattern: list, text: list) -> bool:
+def _occurs_in(pattern: tuple, text: tuple) -> bool:
     """Whether pattern (nonempty) is a contiguous run of text."""
     m = len(pattern)
     # fail[i]: length of the longest proper border of pattern[: i + 1].
@@ -281,7 +275,7 @@ def format_word(w: Word) -> str:
         return "1"
     parts: list[str] = []
     for (gen, sign), run in itertools.groupby(w.letters):
-        e = sign * sum(1 for _ in run)
+        e = sign * len(list(run))
         parts.append(gen.name if e == 1 else f"{gen.name}^{e}")
     return " ".join(parts)
 

@@ -7,7 +7,7 @@ to a fixed point.
 
 from __future__ import annotations
 
-from asdim import Letter, Word
+from asdim import Letter, Registry, Word
 
 
 def naive_reduce(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
@@ -97,3 +97,89 @@ def naive_bound(root) -> int:
         elif kind != "EmbedStep":
             raise TypeError(f"not a chain node: {node!r}")
     return bound
+
+
+def naive_word(text: str) -> list[tuple[str, int]]:
+    """The letters of a word in the presentation grammar, as (name, sign)
+    pairs, read one character at a time: every power is written out
+    letter by letter and nothing cancels.  Names may carry "@" and "#"
+    segments.  Only well-formed text is expected."""
+    out: list[tuple[str, int]] = []
+    i = 0
+
+    def skip() -> None:
+        nonlocal i
+        while i < len(text) and text[i].isspace():
+            i += 1
+
+    def name() -> str:
+        nonlocal i
+        start = i
+        while i < len(text) and (
+            text[i].isalnum()
+            or text[i] in "_@#"
+            or (text[i] == "-" and text[i - 1] in "@#")
+        ):
+            i += 1
+        return text[start:i]
+
+    def power() -> int:
+        nonlocal i
+        skip()
+        if i == len(text) or text[i] != "^":
+            return 1
+        i += 1
+        skip()
+        sign = 1
+        if text[i] == "-":
+            sign = -1
+            i += 1
+            skip()
+        digits = ""
+        while i < len(text) and text[i].isdigit():
+            digits += text[i]
+            i += 1
+        return sign * int(digits)
+
+    skip()
+    if text[i:].strip() == "1":
+        return out
+    while True:
+        skip()
+        if i == len(text):
+            return out
+        if text[i] == "[":
+            i += 1
+            skip()
+            x = name()
+            skip()
+            i += 1  # ","
+            skip()
+            y = name()
+            skip()
+            i += 1  # "]"
+            once = [(x, 1), (y, 1), (x, -1), (y, -1)]
+        else:
+            once = [(name(), 1)]
+        n = power()
+        if n < 0:
+            once = [(g, -s) for g, s in reversed(once)]
+        for _ in range(abs(n)):
+            for letter in once:
+                out.append(letter)
+
+
+def naive_parse(text: str) -> list[tuple[str, int]]:
+    """The relator of presentation text "< gens | word >" as (name, sign)
+    pairs: naive_word, then naive_cyclic_core."""
+    body = text[text.index("|") + 1 :].strip()
+    if body.endswith(">"):
+        body = body[:-1]
+    reg = Registry()
+    gens: dict[str, object] = {}
+    letters = []
+    for n, s in naive_word(body):
+        if n not in gens:
+            gens[n] = reg.declare(n)
+        letters.append(Letter(gens[n], s))
+    return [(l.gen.name, l.sign) for l in naive_cyclic_core(tuple(letters))]

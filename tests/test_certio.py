@@ -3,12 +3,22 @@ and tree rendering."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asdim import (
+    EMPTY_WORD,
     CertificateError,
+    FreeLeaf,
+    FreeSplit,
+    HnnStep,
+    Presentation,
     Registry,
     build_tower,
     emit_certificate,
@@ -16,7 +26,10 @@ from asdim import (
     parse_presentation,
     render_tree,
     verify_certificate,
+    walk,
 )
+from asdim import certio
+from asdim.sampling import random_cyclically_reduced_word
 
 EXAMPLES = (
     "< a | a^4 >",
@@ -65,6 +78,76 @@ class TestEmit:
         doc = emit_certificate(build("< a, b | a b a^-1 b^-1 >"))
         root_keys = list(json.loads(doc)["root"].keys())
         assert root_keys[:3] == ["kind", "presentation", "bound"]
+
+
+def nested_v1(root):
+    """The v1 document as nested objects, one per node, each holding the
+    next under its link key: what json.dumps(indent=2) is given."""
+    nodes = list(walk(root))
+    objects = [certio._fields(node) for node in nodes]
+    for node, obj, below in zip(nodes, objects, objects[1:]):
+        obj[certio._KINDS[type(node)].link] = below
+    return {"schema_version": certio.SCHEMA_VERSION, "root": objects[0]}
+
+
+# Names the parser never makes, so that string escaping is exercised.
+ODD_NAMES = ("a", "b", "\u00e9", 'q"', "back\\slash", "\u2603", "t\n")
+
+
+@st.composite
+def chains(draw):
+    """Built chains: a random presentation (some with names that JSON
+    escapes) or the deep family for k <= 10, optionally cut at its first
+    HNN step with that step's renaming emptied."""
+    reg = Registry()
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=1, max_value=10))
+        p = parse_presentation(f"< a, b | b^-1 a^{k} b^-1 a^{k} >", reg)
+    else:
+        names = draw(st.lists(st.sampled_from(ODD_NAMES), min_size=1, max_size=4, unique=True))
+        gens = tuple(reg.declare(n) for n in names)
+        rng = Random(draw(st.integers(min_value=0, max_value=10_000)))
+        length = draw(st.integers(min_value=0, max_value=12))
+        p = Presentation(gens, random_cyclically_reduced_word(rng, gens, length))
+    root = build_tower(p, reg)
+    if draw(st.booleans()):
+        hnn = next((n for n in walk(root) if isinstance(n, HnnStep)), None)
+        if hnn is not None:
+            rewrite = dataclasses.replace(hnn.rewrite, renaming=())
+            root = dataclasses.replace(hnn, rewrite=rewrite)
+    return root
+
+
+class TestEmitMatchesJson:
+    @settings(max_examples=300, deadline=None)
+    @given(chains())
+    def test_emit_is_json_dumps_of_the_nested_objects(self, root):
+        assert emit_certificate(root) == json.dumps(nested_v1(root), indent=2)
+
+    def test_empty_renaming_is_an_empty_list(self):
+        root = build("< a, b | a b a^-1 b^-1 >")
+        root = dataclasses.replace(
+            root, rewrite=dataclasses.replace(root.rewrite, renaming=())
+        )
+        assert '"renaming": [],' in emit_certificate(root)
+
+    def test_chain_of_1200_free_splits(self):
+        reg = Registry()
+        p = Presentation((reg.declare("a"),), EMPTY_WORD)
+        root = FreeLeaf(p, 1)
+        for _ in range(1200):
+            root = FreeSplit(p, 0, root)
+        doc = emit_certificate(root)
+        assert len(render_tree(root).splitlines()) == 1201
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            expected = json.dumps(nested_v1(root), indent=2)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert doc == expected
+        with pytest.raises(CertificateError, match="document nested too deeply"):
+            parse_certificate(doc)
 
 
 class TestRoundTrip:
@@ -160,6 +243,20 @@ class TestTamperedDocumentsFailVerification:
         node = parse_certificate(json.dumps(doc))
         assert not verify_certificate(node).ok
 
+    def test_cancelling_pair_in_rewritten_word(self):
+        doc = json.loads(emit_certificate(build("< a, b | a b a^-1 b^-1 >")))
+        doc["root"]["rewritten"] += " b@0 b@0^-1"
+        report = verify_certificate(parse_certificate(json.dumps(doc)))
+        assert [v.check for v in report.violations] == ["rewritten word"]
+
+    def test_cancelling_pair_in_embedding_image(self):
+        doc = json.loads(emit_certificate(build("< u, v | u^2 v^3 >")))
+        root = doc["root"]
+        assert root["kind"] == "case2_embed"
+        root["image"] += f" {root['carrier']} {root['carrier']}^-1"
+        report = verify_certificate(parse_certificate(json.dumps(doc)))
+        assert [v.check for v in report.violations] == ["inner relator"]
+
     def test_tampered_relator(self):
         doc = json.loads(emit_certificate(build("< u, v | u^2 v^3 >")))
         doc["root"]["presentation"] = "< u, v | u^2 v^4 >"
@@ -186,3 +283,38 @@ class TestRenderTree:
         assert render_tree(build("< a, b | a b a^-1 b^-1 >")) == render_tree(
             build("< a, b | a b a^-1 b^-1 >")
         )
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-50, max_value=50)
+    | st.text(max_size=8)
+    | st.sampled_from(("a", "b@0", "b@1", "t#1", "< a | 1 >", "< a, b | a^2 >", "case1_hnn")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestFuzzedDocuments:
+    """A document with any one field replaced by any JSON value parses and
+    verifies to a report, or raises CertificateError."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(EXAMPLES), st.data())
+    def test_field_replaced(self, text, data):
+        doc = json.loads(emit_certificate(build(text)))
+        objects = [doc]
+        obj = doc["root"]
+        while obj is not None:
+            objects.append(obj)
+            obj = obj.get("child", obj.get("inner"))
+        target = data.draw(st.sampled_from(objects))
+        key = data.draw(st.sampled_from(sorted(target)))
+        target[key] = data.draw(JSON_VALUES)
+        try:
+            node = parse_certificate(json.dumps(doc))
+        except CertificateError:
+            return
+        verify_certificate(node)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asdim import (
+    CertificateError,
     EmptyGeneratorsError,
     Letter,
     ParseError,
@@ -16,9 +17,11 @@ from asdim import (
     Word,
     format_presentation,
     letters_of,
+    parse_certificate,
     parse_presentation,
     parse_word,
 )
+from oracles import naive_parse, naive_word
 
 
 def names(word):
@@ -194,3 +197,135 @@ class TestFormatting:
         again = parse_presentation(text)
         assert format_presentation(again) == text
         assert names(again.relator) == names(p.relator)
+
+
+PLAIN_NAMES = ("a", "b", "x1", "g_2", "Zz")
+ENGINE_NAMES = ("b@-3", "b@0", "t#1", "b#1", "c@2#1")
+SPACE = st.sampled_from(("", " ", "\t", "  ", "\n"))
+GAP = st.sampled_from((" ", "  ", "\t", "\n", " \n\t "))
+
+
+@st.composite
+def power_text(draw):
+    """"" or a power such as "^3", "^-2", "^ - 3" or "^0"."""
+    n = draw(st.none() | st.integers(min_value=-4, max_value=4))
+    if n is None:
+        return ""
+    sign = draw(SPACE) + "-" if n < 0 else ""
+    return f"{draw(SPACE)}^{draw(SPACE)}{sign}{draw(SPACE)}{abs(n)}"
+
+
+@st.composite
+def presentation_text(draw):
+    """Well-formed presentation text over plain and engine names, with
+    zero, negative and commutator powers and varied whitespace."""
+    gen_names = draw(
+        st.lists(
+            st.sampled_from(PLAIN_NAMES + ENGINE_NAMES),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        if draw(st.booleans()):
+            x, y = draw(st.sampled_from(gen_names)), draw(st.sampled_from(gen_names))
+            s1, s2, s3, s4 = (draw(SPACE) for _ in range(4))
+            term = f"[{s1}{x}{s2},{s3}{y}{s4}]"
+        else:
+            term = draw(st.sampled_from(gen_names))
+        terms.append(term + draw(power_text()))
+    body = "".join(draw(GAP) + t for t in terms) if terms else " 1"
+    genlist = ",".join(draw(SPACE) + n + draw(SPACE) for n in gen_names)
+    if draw(st.booleans()):
+        return f"{draw(SPACE)}<{genlist}|{body}{draw(SPACE)}>{draw(SPACE)}", body
+    return f"{genlist}|{body}{draw(SPACE)}", body
+
+
+class TestScannerAgainstNaiveParse:
+    @settings(max_examples=300, deadline=None)
+    @given(presentation_text())
+    def test_relator_matches_the_character_level_oracle(self, case):
+        text, body = case
+        p = parse_presentation(text, extended_names=True)
+        assert names(p.relator) == tuple(naive_parse(text))
+        if not any(c in text for c in "@#"):
+            assert names(parse_presentation(text).relator) == names(p.relator)
+
+    @settings(max_examples=300, deadline=None)
+    @given(presentation_text())
+    def test_parse_word_keeps_every_letter(self, case):
+        _, body = case
+        reg = Registry()
+        table = {}
+
+        def resolve(name, pos):
+            return table.setdefault(name, reg.declare(name))
+
+        word = parse_word(body, resolve, extended_names=True)
+        assert names(word) == tuple(naive_word(body))
+
+    def test_parse_word_does_not_cancel(self):
+        reg = Registry()
+        a, b = reg.declare("a"), reg.declare("b")
+        word = parse_word("a b b^-1 a^-1 [a, a]", lambda name, pos: {"a": a, "b": b}[name])
+        assert names(word) == (
+            ("a", 1), ("b", 1), ("b", -1), ("a", -1),
+            ("a", 1), ("a", 1), ("a", -1), ("a", -1),
+        )
+
+    def test_engine_name_rejected_in_plain_relator(self):
+        with pytest.raises(ParseError) as exc:
+            parse_presentation("< a | a#1 >")
+        assert exc.value.position == 7
+
+
+# Grammar pieces in which every digit run has length one, so that no
+# drawn exponent can ask for more than nine letters.
+TOKENS = (
+    "<", ">", "|", ",", "[", "]", "^", "-", " ", "\t",
+    "a", "b", "t#1", "b@-2", "^2 ", "^-3 ", "^0 ", "1 ", "1",
+)
+
+
+class TestFuzz:
+    """Any text either parses or raises ParseError (CertificateError for
+    certificates), never another exception."""
+
+    @staticmethod
+    def check(text):
+        for extended in (False, True):
+            try:
+                parse_presentation(
+                    text, extended_names=extended, allow_empty_generators=extended
+                )
+            except ParseError:
+                pass
+            reg = Registry()
+            try:
+                parse_word(text, lambda name, pos: reg.declare(name), extended_names=extended)
+            except ParseError:
+                pass
+        try:
+            parse_certificate(text)
+        except CertificateError:
+            pass
+
+    def test_power_digits_are_ascii(self):
+        with pytest.raises(ParseError):
+            parse_presentation("< a | a^\u00b2 >")
+
+    def test_integer_too_long_for_json(self):
+        with pytest.raises(CertificateError):
+            parse_certificate("1" * 5000)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text())
+    def test_any_text(self, text):
+        self.check(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(TOKENS), max_size=30).map("".join))
+    def test_grammar_fragments(self, text):
+        self.check(text)
