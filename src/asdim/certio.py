@@ -122,13 +122,13 @@ def _hnn_fields(node: HnnStep) -> dict[str, Any]:
 
 def _parse_hnn(rd: _Reader, d: dict[str, Any], child: Node) -> tuple:
     rewrite = HnnRewrite(
-        stable=rd.gen(d, "stable"),
-        base=rd.gen(d, "base"),
-        rewritten=rd.word(d, "rewritten"),
-        min_subscript=_need(d, "min_subscript", int),
-        max_subscript=_need(d, "max_subscript", int),
-        renaming=rd.renaming(d),
-        child=child.presentation,
+        rd.gen(d, "stable"),
+        rd.gen(d, "base"),
+        rd.word(d, "rewritten"),
+        _need(d, "min_subscript", int),
+        _need(d, "max_subscript", int),
+        rd.renaming(d),
+        child.presentation,
     )
     return (rewrite,)
 
@@ -148,14 +148,14 @@ def _embed_fields(node: EmbedStep) -> dict[str, Any]:
 
 def _parse_embed(rd: _Reader, d: dict[str, Any], child: Node) -> tuple:
     embedding = ZeroSumEmbedding(
-        u=rd.gen(d, "u"),
-        v=rd.gen(d, "v"),
-        alpha=_need(d, "alpha", int),
-        beta=_need(d, "beta", int),
-        stable=rd.gen(d, "stable"),
-        carrier=rd.gen(d, "carrier"),
-        image=rd.word(d, "image"),
-        embedded=child.presentation,
+        rd.gen(d, "u"),
+        rd.gen(d, "v"),
+        _need(d, "alpha", int),
+        _need(d, "beta", int),
+        rd.gen(d, "stable"),
+        rd.gen(d, "carrier"),
+        rd.word(d, "image"),
+        child.presentation,
     )
     return (embedding,)
 
@@ -304,7 +304,7 @@ def _from_objects(d: dict[str, Any], rd: _Reader) -> Node:
         bound = _need(d, "bound", int)
         fields = _KINDS[cls].parse(rd, d, node)
         link = () if node is None else (node,)
-        node = cls(p, *fields, *link, bound=bound)
+        node = cls(p, *fields, *link, bound)
     return node
 
 

@@ -23,6 +23,13 @@ into letters only then, so the Presentation constructor is left to strip
 the ends.  parse_word keeps a word's letters exactly as written: the
 certificate verifier compares stored words letter for letter.
 
+A word expands to at most MAX_LETTERS = 10,000,000 letters, a fixed
+limit that keeps one line of input from asking for unbounded memory.
+Letters are counted before any is made: a relator's after the run
+folding (so a^N a^-N is "1" for any N), a bare word's as written, and
+[x, y]^n as 4 |n| letters where it is written.  A longer word is a
+ParseError at the term that takes it past the limit.
+
 Certificates need two relaxations that user input does not get: cores of
 free splits can have an empty generator list, and engine-invented names
 contain "@" and "#" segments.  Both are opt-in keyword flags.
@@ -31,7 +38,7 @@ contain "@" and "#" segments.  Both are opt-in keyword flags.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 from .words import (
@@ -39,7 +46,10 @@ from .words import (
     Letter,
     Registry,
     Word,
+    _Record,
+    _set,
     cyclic_reduce,
+    fold_runs,
     format_word,
 )
 
@@ -74,23 +84,22 @@ class EmptyGeneratorsError(ParseError):
         super().__init__("empty generator list", position)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """An ordered, duplicate-free generator tuple and one relator.
 
     The relator is cyclically reduced at construction; callers may hand in
     any word.  Every generator occurring in the relator must be declared.
     """
 
-    generators: tuple[Generator, ...]
-    relator: Word
+    __slots__ = ("generators", "relator")
 
-    def __post_init__(self) -> None:
-        declared = set(self.generators)
-        if len(declared) != len(self.generators):
+    def __init__(self, generators: tuple[Generator, ...], relator: Word) -> None:
+        declared = set(generators)
+        if len(declared) != len(generators):
             raise ValueError("duplicate generator in presentation")
-        core = cyclic_reduce(self.relator).core
-        object.__setattr__(self, "relator", core)
+        core = cyclic_reduce(relator).core
+        _set(self, "generators", generators)
+        _set(self, "relator", core)
         if not letters_of(self) <= declared:
             first = next(l.gen for l in core if l.gen not in declared)
             raise ValueError(f"relator uses undeclared generator {first.name}")
@@ -117,17 +126,20 @@ def format_presentation(p: Presentation) -> str:
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*(?:[@#]-?[0-9]+)*"
 _POWER = r"(?:\s*\^\s*(-?)\s*([0-9]+))?"
 # Whitespace and then one whole term with the whitespace after it, or
-# only the whitespace.  Groups: 1 the term; 2 an ident, 3 and 4 its
-# power's sign and digits; 5 and 6 a commutator's idents, 7 and 8 its
-# power's sign and digits.  After any match, end() is at a non-space
-# character or at the end of the text.
+# only the whitespace.  Groups: 1 the term; 2 an ident, or 3 and 4 a
+# commutator's idents; 5 and 6 the power's sign and digits.  After any
+# match, end() is at a non-space character or at the end of the text.
 _TERM = re.compile(
-    rf"\s*(?:(({_IDENT}){_POWER}|\[\s*({_IDENT})\s*,\s*({_IDENT})\s*\]{_POWER})\s*)?"
+    rf"\s*(?:((?:({_IDENT})|\[\s*({_IDENT})\s*,\s*({_IDENT})\s*\]){_POWER})\s*)?"
 )
 
-# A run: the (x, x^-1) letter pair of one generator and an exponent.
+# A run: the (x, x^-1) letter pair of one generator, an exponent and the
+# position of the term it comes from, for an error.
 _Pair = tuple[Letter, Letter]
-_Run = tuple[_Pair, int]
+_Run = tuple[_Pair, int, int]
+_exponent = itemgetter(1)
+
+MAX_LETTERS = 10_000_000
 
 
 def _error(text: str, pos: int, expected: str) -> ParseError:
@@ -160,6 +172,25 @@ def _unknown(name: str, pos: int) -> Generator:
     raise UnknownGeneratorError(name, pos)
 
 
+def _too_long(pos: int) -> ParseError:
+    return ParseError(f"word expands to more than {MAX_LETTERS} letters", pos)
+
+
+def _expand(runs: list) -> tuple[Letter, ...]:
+    """The letters of runs.  They are counted first, and a word of more
+    than MAX_LETTERS is a ParseError at the term whose run takes it past."""
+    if sum(map(abs, map(_exponent, runs))) > MAX_LETTERS:
+        total = 0
+        for _, e, at in runs:
+            total += abs(e)
+            if total > MAX_LETTERS:
+                raise _too_long(at)
+    letters: list[Letter] = []
+    for pair, e, _ in runs:
+        letters += (pair[e < 0],) * abs(e)
+    return tuple(letters)
+
+
 def _runs(
     text: str,
     pos: int,
@@ -173,30 +204,38 @@ def _runs(
     per repetition), and the position where scanning stopped: the first
     character after the word and the whitespace behind it.  pairs holds
     the letter pair of each name seen so far; resolve is asked once for
-    each name that is not in it.
+    each name that is not in it.  A commutator power is counted against
+    MAX_LETTERS before its runs are made.
     """
     match = _TERM.match
     runs: list[_Run] = []
+    commuted = 0
     first = m = match(text, pos)
+    at = m.start(1)  # where the term starts; later terms start at the last end()
     while True:
-        term, name, neg, n, x, y, cneg, cn = m.groups()
+        term, name, x, y, neg, n = m.groups()
         if term is None:
             break
-        if name is not None:
+        try:
             e = int(n) if n is not None else 1
-            pair = pairs.get(name) or _pair(pairs, name, m.start(2), resolve, extended)
-            runs.append((pair, -e if neg else e))
+        except ValueError:  # more digits than int() converts
+            raise ParseError("exponent has too many digits", at) from None
+        if name is not None:
+            pair = pairs.get(name) or _pair(pairs, name, at, resolve, extended)
+            runs.append((pair, -e if neg else e, at))
         else:
-            px = pairs.get(x) or _pair(pairs, x, m.start(5), resolve, extended)
-            py = pairs.get(y) or _pair(pairs, y, m.start(6), resolve, extended)
-            if cneg:
-                once = ((py, 1), (px, 1), (py, -1), (px, -1))
-            else:
-                once = ((px, 1), (py, 1), (px, -1), (py, -1))
-            runs += once * (int(cn) if cn is not None else 1)
-        m = match(text, m.end())
+            px = pairs.get(x) or _pair(pairs, x, m.start(3), resolve, extended)
+            py = pairs.get(y) or _pair(pairs, y, m.start(4), resolve, extended)
+            if neg:
+                px, py = py, px
+            commuted += 4 * e
+            if commuted > MAX_LETTERS:
+                raise _too_long(at)
+            runs += ((px, 1, at), (py, 1, at), (px, -1, at), (py, -1, at)) * e
+        at = m.end()
+        m = match(text, at)
     if m is not first:
-        return runs, m.end()
+        return runs, at
     at = m.end()
     if not text.startswith("1", at):
         raise _error(text, at, "a word")
@@ -220,10 +259,7 @@ def parse_word(
     runs, pos = _runs(text, 0, {}, resolve, extended_names)
     if pos != len(text):
         raise _error(text, pos, "end of input")
-    letters: list[Letter] = []
-    for pair, e in runs:
-        letters += (pair[e < 0],) * abs(e)
-    return Word(tuple(letters))
+    return Word(_expand(runs))
 
 
 def parse_presentation(
@@ -252,7 +288,7 @@ def parse_presentation(
     pairs: dict[str, _Pair] = {}
     pos = m.end()
     while m.group(1) is not None:
-        term, name, _, n = m.group(1, 2, 3, 4)
+        term, name, n = m.group(1, 2, 6)
         at = m.start(1)
         if name is None or n is not None:
             raise ParseError(f"expected a generator name, found {term!r}", at)
@@ -280,18 +316,7 @@ def parse_presentation(
     if pos != len(text):
         raise _error(text, pos, "end of input")
 
-    # Free reduction on runs: adjacent runs on the stack have distinct
-    # generators and nonzero exponents, so their letters are reduced.
-    stack: list[list] = []
-    for pair, e in runs:
-        if stack and stack[-1][0] is pair:
-            top = stack[-1]
-            top[1] += e
-            if not top[1]:
-                stack.pop()
-        elif e:
-            stack.append([pair, e])
-    letters: list[Letter] = []
-    for pair, e in stack:
-        letters += (pair[e < 0],) * abs(e)
-    return Presentation(tuple(gens), Word(tuple(letters), reduced=True))
+    # Adjacent folded runs have distinct generators and nonzero exponents,
+    # so their letters are reduced.
+    letters = _expand(fold_runs(runs))
+    return Presentation(tuple(gens), Word(letters, reduced=True))

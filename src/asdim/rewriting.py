@@ -17,7 +17,6 @@ group splits off a free factor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .presentations import Presentation, letters_of
@@ -27,6 +26,7 @@ from .words import (
     Registry,
     Subscripted,
     Word,
+    _Record,
     concat,
     cyclic_reduce,
     exponent_sum,
@@ -104,24 +104,26 @@ class RenameEntry(NamedTuple):
     subscript: int
 
 
-@dataclass(frozen=True)
-class HnnRewrite:
+class HnnRewrite(_Record):
     """Outcome of rewriting a relator over a zero-exponent-sum letter.
 
     rewritten is the new relator over subscripted conjugate generators;
     child is the same word over fresh renamed generators, packaged as the
     next presentation to decompose.  min/max_subscript range over the
     base family of the first rewritten letter, which measures the span of
-    conjugates the HNN extension glues along.
+    conjugates the HNN extension glues along.  renaming holds one
+    RenameEntry per child generator.
     """
 
-    stable: Generator
-    base: Generator
-    rewritten: Word
-    min_subscript: int
-    max_subscript: int
-    renaming: tuple[RenameEntry, ...]
-    child: Presentation
+    __slots__ = (
+        "stable",
+        "base",
+        "rewritten",
+        "min_subscript",
+        "max_subscript",
+        "renaming",
+        "child",
+    )
 
 
 def hnn_rewrite(p: Presentation, stable: Generator, registry: Registry) -> HnnRewrite:
@@ -190,13 +192,7 @@ def hnn_rewrite(p: Presentation, stable: Generator, registry: Registry) -> HnnRe
     family = [e.subscript for e in entries if e.base == pivot_base]
     assert len(rewritten) <= len(r) - 2
     return HnnRewrite(
-        stable=stable,
-        base=pivot_base,
-        rewritten=rewritten,
-        min_subscript=min(family),
-        max_subscript=max(family),
-        renaming=tuple(entries),
-        child=child,
+        stable, pivot_base, rewritten, min(family), max(family), tuple(entries), child
     )
 
 
@@ -220,8 +216,7 @@ def choose_embedding_pair(p: Presentation) -> tuple[Generator, Generator]:
     return pair
 
 
-@dataclass(frozen=True)
-class ZeroSumEmbedding:
+class ZeroSumEmbedding(_Record):
     """Outcome of the substitution u -> carrier * stable^-beta,
     v -> stable^alpha on a relator where u, v have exponent sums
     alpha, beta.
@@ -232,14 +227,7 @@ class ZeroSumEmbedding:
     into the group it presents.
     """
 
-    u: Generator
-    v: Generator
-    alpha: int
-    beta: int
-    stable: Generator
-    carrier: Generator
-    image: Word
-    embedded: Presentation
+    __slots__ = ("u", "v", "alpha", "beta", "stable", "carrier", "image", "embedded")
 
 
 def zero_sum_embedding(
@@ -266,13 +254,4 @@ def zero_sum_embedding(
 
     gens = (stable, carrier) + tuple(g for g in p.generators if g not in (u, v))
     embedded = Presentation(gens, image)
-    return ZeroSumEmbedding(
-        u=u,
-        v=v,
-        alpha=alpha,
-        beta=beta,
-        stable=stable,
-        carrier=carrier,
-        image=image,
-        embedded=embedded,
-    )
+    return ZeroSumEmbedding(u, v, alpha, beta, stable, carrier, image, embedded)

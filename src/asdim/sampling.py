@@ -3,7 +3,6 @@ for property tests and sweep scripts."""
 
 from __future__ import annotations
 
-import string
 from random import Random
 from typing import Iterator, Sequence
 
@@ -16,6 +15,9 @@ __all__ = [
     "random_presentation",
     "random_reduced_word",
 ]
+
+
+_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
 def random_reduced_word(rng: Random, gens: Sequence[Generator], length: int) -> Word:
@@ -56,12 +58,12 @@ def random_presentation(
 ) -> Presentation:
     """Random presentation with 1..max_gens generators named a, b, c, ...
     and a cyclically reduced relator of length 1..max_len."""
-    if not 1 <= max_gens <= len(string.ascii_lowercase):
+    if not 1 <= max_gens <= len(_NAMES):
         raise ValueError("max_gens out of range")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     k = rng.randint(1, max_gens)
-    gens = tuple(registry.declare(string.ascii_lowercase[i]) for i in range(k))
+    gens = tuple(registry.declare(_NAMES[i]) for i in range(k))
     length = rng.randint(1, max_len)
     relator = random_cyclically_reduced_word(rng, gens, length)
     return Presentation(gens, relator)

@@ -16,14 +16,16 @@ these rules.
 A chain is singly linked through child (None at the leaf), and every
 node class carries its certificate kind name and its bound rule (the
 child's bound to its own).  Passes over a chain are loops, so its depth
-is not limited by the interpreter's recursion limit.
+is not limited by the interpreter's recursion limit.  Nodes are
+immutable records (see asdim.words): a changed node, such as a tampered
+one in a test, is made with node._replace(field=value), which keeps the
+stored bound unless it is one of the changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from typing import ClassVar, Iterator, Union
+from typing import Any, Iterator, Union
 
 from .presentations import Presentation, letters_of
 from .rewriting import (
@@ -36,7 +38,7 @@ from .rewriting import (
     split_free_part,
     zero_sum_embedding,
 )
-from .words import Generator, Registry, exponent_sum
+from .words import Generator, Registry, _Record, _set, exponent_sum
 
 __all__ = [
     "BoundReport",
@@ -56,14 +58,23 @@ __all__ = [
 ]
 
 
-class _Node:
-    """What every node kind shares.  A bound left out at construction is
-    derived by the kind's bound rule, so the builder and the verifier
-    apply one rule."""
+class _Node(_Record):
+    """What every node kind shares.  A node's fields are its presentation,
+    its kind's own fields, its child (leaves have none) and its bound.  A
+    bound left out at construction is derived by the kind's bound rule,
+    so the builder and the verifier apply one rule."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+    _defaults = {"bound": None}
+    kind: str  # the certificate kind name
+    child: Node | None = None
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        if not kwargs and len(args) == len(self._setters) - 1:
+            args += (None,)  # the usual call, with the bound left out
+        _Record.__init__(self, *args, **kwargs)
         if self.bound is None:
-            object.__setattr__(self, "bound", self.bound_by_rule())
+            _set(self, "bound", self.bound_by_rule())
 
     def bound_by_rule(self) -> int:
         """The bound the kind's rule gives from the child's stored bound
@@ -71,89 +82,64 @@ class _Node:
         return self.bound_rule(None if self.child is None else self.child.bound)
 
 
-@dataclass(frozen=True)
 class FreeLeaf(_Node):
     """The group is free of the stated rank (empty relator, or a length-1
     relator killing one generator)."""
 
-    kind: ClassVar[str] = "free_leaf"
-    child: ClassVar[None] = None
-    presentation: Presentation
-    rank: int
-    bound: int = None  # type: ignore[assignment]
+    __slots__ = ("presentation", "rank", "bound")
+    kind = "free_leaf"
 
     def bound_rule(self, below: None) -> int:
         return 0 if self.rank == 0 else 1
 
 
-@dataclass(frozen=True)
 class CyclicLeaf(_Node):
     """Single generator, relator a power of it: a finite cyclic group."""
 
-    kind: ClassVar[str] = "cyclic_leaf"
-    child: ClassVar[None] = None
-    presentation: Presentation
-    order: int
-    bound: int = None  # type: ignore[assignment]
+    __slots__ = ("presentation", "order", "bound")
+    kind = "cyclic_leaf"
 
     def bound_rule(self, below: None) -> int:
         return 0
 
 
-@dataclass(frozen=True)
 class SingleElim(_Node):
     """A generator occurring exactly once is eliminated; the rest generate
     freely, so this terminates the chain like a free leaf."""
 
-    kind: ClassVar[str] = "single_elim"
-    child: ClassVar[None] = None
-    presentation: Presentation
-    eliminated: Generator
-    resulting_rank: int
-    bound: int = None  # type: ignore[assignment]
+    __slots__ = ("presentation", "eliminated", "resulting_rank", "bound")
+    kind = "single_elim"
 
     def bound_rule(self, below: None) -> int:
         return 0 if self.resulting_rank == 0 else 1
 
 
-@dataclass(frozen=True)
 class FreeSplit(_Node):
     """Generators absent from the relator split off as a free factor."""
 
-    kind: ClassVar[str] = "free_split"
-    presentation: Presentation
-    split_off_rank: int
-    child: "Node"
-    bound: int = None  # type: ignore[assignment]
+    __slots__ = ("presentation", "split_off_rank", "child", "bound")
+    kind = "free_split"
 
     def bound_rule(self, below: int) -> int:
         return below if self.split_off_rank == 0 else max(below, 1)
 
 
-@dataclass(frozen=True)
 class HnnStep(_Node):
     """HNN extension over the child group, from a zero-exponent-sum
     stable letter."""
 
-    kind: ClassVar[str] = "case1_hnn"
-    presentation: Presentation
-    rewrite: HnnRewrite
-    child: "Node"
-    bound: int = None  # type: ignore[assignment]
+    __slots__ = ("presentation", "rewrite", "child", "bound")
+    kind = "case1_hnn"
 
     def bound_rule(self, below: int) -> int:
         return 1 + below
 
 
-@dataclass(frozen=True)
 class EmbedStep(_Node):
     """Embedding into the group decomposed by the child chain."""
 
-    kind: ClassVar[str] = "case2_embed"
-    presentation: Presentation
-    embedding: ZeroSumEmbedding
-    child: "Node"
-    bound: int = None  # type: ignore[assignment]
+    __slots__ = ("presentation", "embedding", "child", "bound")
+    kind = "case2_embed"
 
     def bound_rule(self, below: int) -> int:
         return below
@@ -272,15 +258,11 @@ def _build(p: Presentation, reg: Registry) -> Node:
     return node
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Summary of a chain: the a priori relator-length bound, the bound
     the chain actually certifies, and its shape."""
 
-    length_bound: int
-    tower_bound: int
-    hnn_steps: int
-    node_count: int
+    __slots__ = ("length_bound", "tower_bound", "hnn_steps", "node_count")
 
 
 def summarize(root: Node) -> BoundReport:

@@ -19,9 +19,11 @@ followed by t^(i_(k+1)).  The verifier writes each such pair as the
 single power t^(i_(k+1) - i_k), that is t^(i_1) base_1 t^(i_2 - i_1)
 base_2 ... base_n t^(-i_n).  The two words differ only by free
 cancellations, so they have the same freely reduced form, and the check
-remains pure free-group arithmetic.  Before reduction the telescoped
-word has |s| + |i_1| + sum |i_(k+1) - i_k| + |i_n| letters, against
-|s| + 2 sum |i_k| for the product of conjugates.
+remains pure free-group arithmetic.  The telescoped word is reduced as
+2|s| + 1 runs (words.fold_runs), each power of t one run, and written
+out as letters to compare with the parent relator only when it has |r|
+of them, so the work is linear in |s| + |r| however large the stored
+subscripts are.
 
 The verifier also checks the preconditions that make a step's claim
 follow: an HNN renaming maps distinct fresh generators to distinct
@@ -39,8 +41,6 @@ rewriting code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .tower import (
     CyclicLeaf,
     EmbedStep,
@@ -54,12 +54,14 @@ from .tower import (
 from .words import (
     Letter,
     Word,
+    _Record,
     concat,
     equal_as_cyclic_words,
     exponent_sum,
+    fold_runs,
     generator_power,
     occurrence_count,
-    reduce_word,
+    reduce_word,  # noqa: F401  (benchmark/spans.py wraps this name)
     single,
     substitute,
 )
@@ -67,20 +69,15 @@ from .words import (
 __all__ = ["VerificationReport", "Violation", "verify_certificate"]
 
 
-@dataclass(frozen=True)
-class Violation:
-    depth: int
-    kind: str
-    check: str
-    detail: str
+class Violation(_Record):
+    __slots__ = ("depth", "kind", "check", "detail")
 
     def __str__(self) -> str:
         return f"depth {self.depth} ({self.kind}): {self.check}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    violations: tuple[Violation, ...]
+class VerificationReport(_Record):
+    __slots__ = ("violations",)
 
     @property
     def ok(self) -> bool:
@@ -201,25 +198,29 @@ def _verify_hnn(node: HnnStep, r: Word, flag) -> None:
                 " parent generator",
             )
 
-    # Telescoped expansion, see the module docstring: t^(i_k - i_(k-1))
-    # then base^(e_k) for each child letter, and t^(-i_n) at the end.
+    # Telescoped expansion on runs, see the module docstring: the run
+    # t^(i_k - i_(k-1)) then base^(e_k) for each child letter, and
+    # t^(-i_n) at the end.
     rows = {e.fresh: e for e in entries}
-    up, down = Letter(t, 1), Letter(t, -1)
-    letters: list[Letter] = []
+    runs: list[tuple] = []
     at = 0
     for l in s.letters:
         e = rows.get(l.gen)
         if e is None:
             flag("renaming", f"no entry for child generator {l.gen.name}")
             break
-        step = e.subscript - at
-        letters.extend((up,) * step if step > 0 else (down,) * -step)
-        letters.append(Letter(e.base, l.sign))
+        runs += ((t, e.subscript - at), (e.base, l.sign))
         at = e.subscript
     else:
-        letters.extend((up,) * -at if at < 0 else (down,) * at)
-        expanded = reduce_word(Word(tuple(letters)))
-        if expanded.letters != r.letters:
+        runs.append((t, -at))
+        folded = fold_runs(runs)
+        same = sum([abs(e) for _, e in folded]) == len(r)
+        if same:
+            letters: list[Letter] = []
+            for g, e in folded:
+                letters += (Letter(g, 1 if e > 0 else -1),) * abs(e)
+            same = tuple(letters) == r.letters
+        if not same:
             flag("expansion", "expanded child relator differs from the parent relator")
 
     stored = [(l.gen.name, l.sign) for l in rw.rewritten]

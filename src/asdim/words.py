@@ -5,13 +5,20 @@ never identified by display name: a generator is equal only to itself.
 Words are immutable sequences of signed letters; every operation is
 pure.  The only mutable object is the Registry.  No code path in the
 package is concurrent; a registry belongs to one pipeline at a time.
+
+The package's records (words, generators, presentations, rewriting
+outcomes, chain nodes, reports) are immutable __slots__ classes on
+_Record.  Their fields are set once, by the constructor; assigning to
+one raises AttributeError.  They compare and hash by value, except that
+a Word ignores its reduced flag and a Generator is equal only to
+itself, and x._replace(**changes) is a copy of x with the named fields
+changed, as on a NamedTuple.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Generator",
@@ -25,6 +32,7 @@ __all__ = [
     "cyclic_reduce",
     "equal_as_cyclic_words",
     "exponent_sum",
+    "fold_runs",
     "format_word",
     "generator_power",
     "inverse",
@@ -38,18 +46,85 @@ __all__ = [
 # from unrelated pipelines can never alias each other by accident.
 _UIDS = itertools.count()
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Subscripted:
+
+class _Record:
+    """An immutable record whose fields are its class's __slots__, in
+    order.  The constructor takes them positionally or by keyword, the
+    ones in _defaults optional; equality and hashing are over all fields
+    of records of the same class; repr is ClassName(field=value, ...)."""
+
+    __slots__ = ()
+    _defaults: dict[str, Any] = {}
+    _setters: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        # Each field's slot setter, in order: the quickest way to set a
+        # field past the __setattr__ below.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        if kwargs or len(args) != len(self._setters):
+            args = self._bind(args, kwargs)
+        for setter, value in zip(self._setters, args):
+            setter(self, value)
+
+    def _bind(self, args: tuple, kwargs: dict[str, Any]) -> list:
+        """Every field's value from a constructor call's arguments."""
+        fields = self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields")
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in self._defaults:
+                values.append(self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+        for name in kwargs:
+            raise TypeError(f"{type(self).__name__} got a stray value for {name!r}")
+        return values
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: records are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: records are immutable")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes: Any) -> Any:
+        """A copy with the named fields changed, built by the constructor."""
+        values = [
+            changes.pop(name) if name in changes else getattr(self, name)
+            for name in self.__slots__
+        ]
+        return type(self)(*values, **changes)
+
+
+class Subscripted(_Record):
     """Provenance of a conjugate-family generator: base conjugated by the
     i-th power of a stable letter."""
 
-    base: "Generator"
-    subscript: int
+    __slots__ = ("base", "subscript")
 
 
-@dataclass(frozen=True, eq=False)
-class Generator:
+class Generator(_Record):
     """A generator atom, equal only to itself.
 
     Registry is the only constructor and gives every atom a fresh uid, so
@@ -57,13 +132,18 @@ class Generator:
     exactly as comparing uids would.  Equality and hashing are therefore
     object's own, and set and dict lookups and comparisons of letters run
     without calling back into Python.  Display names may repeat across
-    construction steps.  origin is None except for conjugate-family
-    generators.
+    construction steps.  origin, a Subscripted, is None except for
+    conjugate-family generators.
     """
 
-    name: str
-    uid: int
-    origin: Subscripted | None = None
+    __slots__ = ("name", "uid", "origin")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, uid: int, origin: Subscripted | None = None) -> None:
+        _set(self, "name", name)
+        _set(self, "uid", uid)
+        _set(self, "origin", origin)
 
     def __repr__(self) -> str:
         return self.name
@@ -79,17 +159,27 @@ class Letter(NamedTuple):
         return Letter(self.gen, -self.sign)
 
 
-@dataclass(frozen=True)
-class Word:
-    """An immutable letter sequence.
+class Word(_Record):
+    """An immutable letter sequence: letters is a tuple of Letters.
 
     The reduced flag records that no adjacent cancelling pair exists.  It
     is set by reduce_word (and by constructions that preserve it) and is
     excluded from equality: words are equal iff their letters are.
     """
 
-    letters: tuple[Letter, ...] = ()
-    reduced: bool = field(default=False, compare=False)
+    __slots__ = ("letters", "reduced")
+
+    def __init__(self, letters: tuple[Letter, ...] = (), reduced: bool = False) -> None:
+        _set(self, "letters", letters)
+        _set(self, "reduced", reduced)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -157,6 +247,32 @@ def reduce_word(w: Word) -> Word:
                 continue
         push(l)
     return Word(tuple(stack), reduced=True)
+
+
+def fold_runs(runs: Iterable[Sequence]) -> list[list]:
+    """Free reduction on runs (key, exponent, ...), keys compared by
+    identity; a Letter is the run (gen, sign).  Adjacent runs of one key
+    merge into the first, and a zero exponent drops out.  The reduced
+    word's runs come back as lists with distinct adjacent keys and nonzero
+    exponents, so two words are freely equal iff their folded runs are.
+    The work is linear in the number of runs, whatever the exponents.
+
+    >>> r = Registry(); a, b = r.declare("a"), r.declare("b")
+    >>> fold_runs([(a, 3), (b, 2), (b, -2), (a, -1)]) == [[a, 2]]
+    True
+    """
+    stack: list[list] = []
+    top: list | None = None
+    for run in runs:
+        if top is not None and top[0] is run[0]:
+            top[1] += run[1]
+            if not top[1]:
+                stack.pop()
+                top = stack[-1] if stack else None
+        elif run[1]:
+            top = [*run]
+            stack.append(top)
+    return stack
 
 
 class CyclicReduction(NamedTuple):

@@ -7,7 +7,6 @@ run reads as a checklist.
 
 from __future__ import annotations
 
-import dataclasses
 from random import Random
 
 from asdim import (
@@ -193,86 +192,76 @@ def _tamper_cases():
         cases.append((label, node))
 
     def pres(node, text, reg):
-        return dataclasses.replace(
-            node, presentation=parse_presentation(text, reg)
-        )
+        return node._replace(presentation=parse_presentation(text, reg))
 
     reg = Registry()
     free = build_tower(parse_presentation("< a, b | 1 >", reg), reg)
-    add("free_leaf bound", dataclasses.replace(free, bound=free.bound + 1))
-    add("free_leaf rank", dataclasses.replace(free, rank=free.rank + 1))
+    add("free_leaf bound", free._replace(bound=free.bound + 1))
+    add("free_leaf rank", free._replace(rank=free.rank + 1))
     add("free_leaf presentation", pres(free, "< a, b | a >", Registry()))
 
     reg = Registry()
     cyclic = build_tower(parse_presentation("< a | a^4 >", reg), reg)
-    add("cyclic_leaf bound", dataclasses.replace(cyclic, bound=1))
-    add("cyclic_leaf order", dataclasses.replace(cyclic, order=cyclic.order + 1))
+    add("cyclic_leaf bound", cyclic._replace(bound=1))
+    add("cyclic_leaf order", cyclic._replace(order=cyclic.order + 1))
     add("cyclic_leaf presentation", pres(cyclic, "< a | a^5 >", Registry()))
 
     reg = Registry()
     elim = build_tower(parse_presentation("< a, b | b a b >", reg), reg)
-    add("single_elim bound", dataclasses.replace(elim, bound=elim.bound + 1))
+    add("single_elim bound", elim._replace(bound=elim.bound + 1))
     add(
         "single_elim rank",
-        dataclasses.replace(elim, resulting_rank=elim.resulting_rank + 1),
+        elim._replace(resulting_rank=elim.resulting_rank + 1),
     )
     add(
         "single_elim eliminated",
-        dataclasses.replace(elim, eliminated=elim.presentation.generators[1]),
+        elim._replace(eliminated=elim.presentation.generators[1]),
     )
     foreign = Registry().declare("z")
-    add("single_elim foreign", dataclasses.replace(elim, eliminated=foreign))
+    add("single_elim foreign", elim._replace(eliminated=foreign))
     add("single_elim presentation", pres(elim, "< a, b | b a b a >", Registry()))
 
     reg = Registry()
     split = build_tower(parse_presentation("< a, b | a^3 >", reg), reg)
-    add("free_split bound", dataclasses.replace(split, bound=split.bound + 1))
+    add("free_split bound", split._replace(bound=split.bound + 1))
     add(
         "free_split rank",
-        dataclasses.replace(split, split_off_rank=split.split_off_rank + 1),
+        split._replace(split_off_rank=split.split_off_rank + 1),
     )
     add("free_split presentation", pres(split, "< a, b | a^2 b >", Registry()))
-    bad_child = dataclasses.replace(
-        split.child,
+    bad_child = split.child._replace(
         presentation=Presentation(
             split.child.presentation.generators,
             Word(split.child.presentation.relator.letters[:-1]),
         ),
     )
-    add("free_split child relator", dataclasses.replace(split, child=bad_child))
+    add("free_split child relator", split._replace(child=bad_child))
 
     reg = Registry()
     hnn = build_tower(parse_presentation("< a, b | a b a^-1 b^-1 >", reg), reg)
     rw = hnn.rewrite
-    add("case1_hnn bound", dataclasses.replace(hnn, bound=hnn.bound + 1))
+    add("case1_hnn bound", hnn._replace(bound=hnn.bound + 1))
     add(
         "case1_hnn stable",
-        dataclasses.replace(hnn, rewrite=dataclasses.replace(rw, stable=rw.base)),
+        hnn._replace(rewrite=rw._replace(stable=rw.base)),
     )
     add(
         "case1_hnn base",
-        dataclasses.replace(hnn, rewrite=dataclasses.replace(rw, base=rw.stable)),
+        hnn._replace(rewrite=rw._replace(base=rw.stable)),
     )
     add(
         "case1_hnn rewritten",
-        dataclasses.replace(
-            hnn,
-            rewrite=dataclasses.replace(
-                rw, rewritten=Word(rw.rewritten.letters[1:], reduced=True)
-            ),
+        hnn._replace(
+            rewrite=rw._replace(rewritten=Word(rw.rewritten.letters[1:], reduced=True)),
         ),
     )
     add(
         "case1_hnn min_subscript",
-        dataclasses.replace(
-            hnn, rewrite=dataclasses.replace(rw, min_subscript=rw.min_subscript - 1)
-        ),
+        hnn._replace(rewrite=rw._replace(min_subscript=rw.min_subscript - 1)),
     )
     add(
         "case1_hnn max_subscript",
-        dataclasses.replace(
-            hnn, rewrite=dataclasses.replace(rw, max_subscript=rw.max_subscript + 1)
-        ),
+        hnn._replace(rewrite=rw._replace(max_subscript=rw.max_subscript + 1)),
     )
     shifted = (
         rw.renaming[0],
@@ -280,7 +269,7 @@ def _tamper_cases():
     )
     add(
         "case1_hnn renaming subscript",
-        dataclasses.replace(hnn, rewrite=dataclasses.replace(rw, renaming=shifted)),
+        hnn._replace(rewrite=rw._replace(renaming=shifted)),
     )
     swapped = (
         rw.renaming[0]._replace(base=rw.stable),
@@ -288,10 +277,9 @@ def _tamper_cases():
     )
     add(
         "case1_hnn renaming base",
-        dataclasses.replace(hnn, rewrite=dataclasses.replace(rw, renaming=swapped)),
+        hnn._replace(rewrite=rw._replace(renaming=swapped)),
     )
-    hnn_bad_child = dataclasses.replace(
-        hnn.child,
+    hnn_bad_child = hnn.child._replace(
         presentation=Presentation(
             hnn.child.presentation.generators,
             Word(
@@ -302,7 +290,7 @@ def _tamper_cases():
             ),
         ),
     )
-    add("case1_hnn child relator", dataclasses.replace(hnn, child=hnn_bad_child))
+    add("case1_hnn child relator", hnn._replace(child=hnn_bad_child))
     add(
         "case1_hnn presentation",
         pres(hnn, "< a, b | a b a^-1 b >", Registry()),
@@ -311,51 +299,42 @@ def _tamper_cases():
     reg = Registry()
     emb_node = build_tower(parse_presentation("< u, v | u^2 v^3 >", reg), reg)
     emb = emb_node.embedding
-    add("case2_embed bound", dataclasses.replace(emb_node, bound=emb_node.bound + 1))
+    add("case2_embed bound", emb_node._replace(bound=emb_node.bound + 1))
     add(
         "case2_embed u",
-        dataclasses.replace(emb_node, embedding=dataclasses.replace(emb, u=emb.v)),
+        emb_node._replace(embedding=emb._replace(u=emb.v)),
     )
     add(
         "case2_embed v",
-        dataclasses.replace(emb_node, embedding=dataclasses.replace(emb, v=emb.u)),
+        emb_node._replace(embedding=emb._replace(v=emb.u)),
     )
     add(
         "case2_embed alpha",
-        dataclasses.replace(
-            emb_node, embedding=dataclasses.replace(emb, alpha=emb.alpha + 1)
-        ),
+        emb_node._replace(embedding=emb._replace(alpha=emb.alpha + 1)),
     )
     add(
         "case2_embed beta",
-        dataclasses.replace(
-            emb_node, embedding=dataclasses.replace(emb, beta=emb.beta - 1)
-        ),
+        emb_node._replace(embedding=emb._replace(beta=emb.beta - 1)),
     )
     add(
         "case2_embed stable",
-        dataclasses.replace(
-            emb_node,
-            embedding=dataclasses.replace(emb, stable=emb.carrier, carrier=emb.stable),
+        emb_node._replace(
+            embedding=emb._replace(stable=emb.carrier, carrier=emb.stable),
         ),
     )
     add(
         "case2_embed image",
-        dataclasses.replace(
-            emb_node,
-            embedding=dataclasses.replace(
-                emb, image=Word(emb.image.letters[1:], reduced=True)
-            ),
+        emb_node._replace(
+            embedding=emb._replace(image=Word(emb.image.letters[1:], reduced=True)),
         ),
     )
-    inner_bad = dataclasses.replace(
-        emb_node.child,
+    inner_bad = emb_node.child._replace(
         presentation=Presentation(
             emb_node.child.presentation.generators,
             Word(emb_node.child.presentation.relator.letters[:-1]),
         ),
     )
-    add("case2_embed inner relator", dataclasses.replace(emb_node, child=inner_bad))
+    add("case2_embed inner relator", emb_node._replace(child=inner_bad))
     add(
         "case2_embed presentation",
         pres(emb_node, "< u, v | u^2 v^2 >", Registry()),

@@ -85,6 +85,12 @@ class TestBound:
         err = capsys.readouterr().err
         assert "parse error" in err
 
+    @pytest.mark.parametrize("power", ["99999999999999999999999", "-1000000000000"])
+    def test_huge_power_is_a_one_line_parse_error(self, capsys, power):
+        assert main(["bound", f"< a | a^{power} >"]) == 1
+        err = capsys.readouterr().err
+        assert err == "parse error: word expands to more than 10000000 letters (at position 6)\n"
+
 
 class TestTree:
     def test_renders_chain(self, capsys):
@@ -137,6 +143,15 @@ class TestBatch:
         assert len(lines) == 4
         assert "error" in lines[2]
         assert lines[3].endswith("yes")
+
+    def test_huge_power_fails_its_line_only(self, tmp_path, capsys):
+        f = tmp_path / "inputs.txt"
+        f.write_text("< a | a^-1000000000000 >\n< u, v | u^2 v^3 >\n")
+        assert main(["batch", str(f)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert "error: word expands to more than 10000000 letters" in lines[1]
+        assert lines[2].endswith("yes")
 
     def test_file_all_good_exits_zero(self, tmp_path, capsys):
         f = tmp_path / "inputs.txt"

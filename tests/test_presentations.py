@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asdim import presentations
 from asdim import (
     CertificateError,
     EmptyGeneratorsError,
@@ -142,6 +143,75 @@ class TestErrors:
         with pytest.raises(ParseError) as exc:
             parse_presentation("< a | a^ >")
         assert isinstance(exc.value.position, int)
+
+
+class TestLetterLimit:
+    """A word may expand to at most MAX_LETTERS letters, counted before any
+    letter is made; the limit is read at call time, so tests lower it."""
+
+    @pytest.fixture
+    def limit(self, monkeypatch):
+        monkeypatch.setattr(presentations, "MAX_LETTERS", 12)
+        return 12
+
+    def test_the_limit_is_ten_million(self):
+        assert presentations.MAX_LETTERS == 10_000_000
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("< a | a^99999999999999999999999 >", 6),
+            ("< a | a^-1000000000000 >", 6),
+            ("< a, b | b a^10000000 >", 11),
+            ("< a, b | [a, b]^2500001 >", 9),
+            ("< a, b | [a, b]^-1000000000000 >", 9),
+        ],
+    )
+    def test_huge_powers_are_a_parse_error(self, text, position):
+        with pytest.raises(ParseError, match="more than 10000000 letters") as exc:
+            parse_presentation(text)
+        assert exc.value.position == position
+
+    def test_cancelling_powers_fold_before_counting(self):
+        p = parse_presentation("< a, b | a^1000000000000 b^0 a^-1000000000000 >")
+        assert len(p.relator) == 0
+        assert len(parse_presentation("< a | a^30000000 a^-29999999 >").relator) == 1
+
+    def test_boundary(self, limit):
+        assert len(parse_presentation("< a, b | a^6 b^6 >").relator) == 12
+        with pytest.raises(ParseError) as exc:
+            parse_presentation("< a, b | a^6 b^7 >")
+        assert exc.value.position == 13
+        assert len(parse_presentation("< a, b | [a, b]^3 >").relator) == 12
+        with pytest.raises(ParseError):
+            parse_presentation("< a, b | [a, b]^2 [a, b] a^-1 >")
+
+    def test_commutator_powers_count_as_written(self, limit):
+        # [a, b]^2 [b, a]^2 folds to 1, but its runs are written out first.
+        with pytest.raises(ParseError) as exc:
+            parse_presentation("< a, b | [a, b]^2 [b, a]^2 >")
+        assert exc.value.position == 18
+
+    def test_bare_words_count_as_written(self, limit):
+        reg = Registry()
+        resolve = lambda name, pos: reg.declare(name)  # noqa: E731
+        assert len(parse_word("a^6 a^-6", resolve)) == 12
+        with pytest.raises(ParseError) as exc:
+            parse_word("a^6 b a^-6", resolve)
+        assert exc.value.position == 6
+
+    def test_too_many_digits(self):
+        for text in ("< a | a^" + "9" * 5000 + " >", "< a, b | [a, b]^" + "9" * 5000 + " >"):
+            with pytest.raises(ParseError, match="too many digits"):
+                parse_presentation(text)
+
+    def test_certificate_word_over_the_limit(self):
+        doc = (
+            '{"schema_version": 1, "root": {"kind": "free_leaf",'
+            ' "presentation": "< a | a^100000000000 >", "bound": 0, "rank": 0}}'
+        )
+        with pytest.raises(CertificateError, match="more than 10000000 letters"):
+            parse_certificate(doc)
 
 
 class TestConstruction:

@@ -3,10 +3,10 @@ certificates never do."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from random import Random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +15,7 @@ from asdim import (
     Registry,
     Word,
     build_tower,
+    emit_certificate,
     parse_certificate,
     parse_presentation,
     random_presentation,
@@ -63,37 +64,35 @@ class TestBuilderOutputVerifies:
 class TestTamperDetection:
     def test_wrong_bound_is_caught(self):
         root = build("< a, b | a b a^-1 b^-1 >")
-        bad = dataclasses.replace(root, bound=root.bound - 1)
+        bad = root._replace(bound=root.bound - 1)
         report = verify_certificate(bad)
         assert not report.ok
         assert any(v.check == "bound" for v in report.violations)
 
     def test_wrong_rank_is_caught(self):
         root = build("< a, b | 1 >")
-        bad = dataclasses.replace(root, rank=3)
+        bad = root._replace(rank=3)
         assert not verify_certificate(bad).ok
 
     def test_dropped_rewritten_letter_is_caught(self):
         root = build("< a, b | a b a^-1 b^-1 >")
         rw = root.rewrite
         shorter = Word(rw.rewritten.letters[1:], reduced=True)
-        bad = dataclasses.replace(root, rewrite=dataclasses.replace(rw, rewritten=shorter))
+        bad = root._replace(rewrite=rw._replace(rewritten=shorter))
         report = verify_certificate(bad)
         assert not report.ok
 
     def test_swapped_pair_is_caught(self):
         root = build("< u, v | u^2 v^3 >")
         emb = root.embedding
-        bad = dataclasses.replace(
-            root, embedding=dataclasses.replace(emb, alpha=emb.alpha + 1)
-        )
+        bad = root._replace(embedding=emb._replace(alpha=emb.alpha + 1))
         report = verify_certificate(bad)
         assert not report.ok
         assert any(v.check == "alpha" for v in report.violations)
 
     def test_violation_reports_are_printable(self):
         root = build("< a, b | a b a^-1 b^-1 >")
-        bad = dataclasses.replace(root, bound=99)
+        bad = root._replace(bound=99)
         report = verify_certificate(bad)
         text = str(report)
         assert "bound" in text
@@ -199,8 +198,8 @@ class TestPreconditions:
 
     def test_embedding_stable_equal_to_carrier_is_rejected(self):
         root = build("< u, v | u^2 v^3 >")
-        emb = dataclasses.replace(root.embedding, carrier=root.embedding.stable)
-        report = verify_certificate(dataclasses.replace(root, embedding=emb))
+        emb = root.embedding._replace(carrier=root.embedding.stable)
+        report = verify_certificate(root._replace(embedding=emb))
         assert any(
             (v.check, v.detail)
             == ("fresh letters", "stable and carrier are the same generator")
@@ -251,6 +250,33 @@ class TestPreconditions:
         assert violations(with_unused_row("t")) == {
             ("renaming", "base t of z is not a non-stable parent generator")
         }
+
+
+class TestForgedSubscripts:
+    """A renaming subscript of any size is rejected as a failed expansion,
+    in time linear in the relators: the telescoped word is reduced on runs,
+    so t^(10^20) is one run, never 10^20 letters."""
+
+    CERT = emit_certificate(build("< a, b | a b a^-1 b^-1 >"))
+
+    @pytest.mark.parametrize("row", [0, 1])
+    @pytest.mark.parametrize("subscript", [10**13, -(10**13), 10**20, -(10**20)])
+    def test_huge_subscript_fails_the_expansion(self, row, subscript):
+        doc = json.loads(self.CERT)
+        doc["root"]["renaming"][row][2] = subscript
+        report = verify_certificate(parse_certificate(json.dumps(doc)))
+        assert ("expansion", "expanded child relator differs from the parent relator") in {
+            (v.check, v.detail) for v in report.violations
+        }
+
+    def test_shifting_every_row_conjugates_the_expansion(self):
+        # Shifting every subscript by n conjugates the expansion by t^n,
+        # which the exact, not cyclic, comparison rejects.
+        doc = json.loads(self.CERT)
+        for row in doc["root"]["renaming"]:
+            row[2] += 10**20
+        report = verify_certificate(parse_certificate(json.dumps(doc)))
+        assert "expansion" in {v.check for v in report.violations}
 
 
 def hnn_nodes(seed: int, max_len: int) -> list[HnnStep]:
@@ -307,8 +333,8 @@ class TestHnnExpansionOracle:
         if how in ("swap", "duplicate"):
             assume(j != k)
         if how is not None:
-            rw = dataclasses.replace(rw, renaming=mutate(rw.renaming, how, j, k))
-            node = dataclasses.replace(node, rewrite=rw)
+            rw = rw._replace(renaming=mutate(rw.renaming, how, j, k))
+            node = node._replace(rewrite=rw)
         expected = naive_hnn_expansion(
             node.presentation.relator,
             node.child.presentation.relator,
