@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 from collections import Counter
-from dataclasses import dataclass
 from random import Random
 
 from asdim import (
@@ -22,21 +21,15 @@ from asdim import (
 )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    count: int = 10_000
-    max_gens: int = 4
-    max_len: int = 12
-    seed: int = 0
-
-
-def run_sweep(cfg: SweepConfig) -> tuple[Counter[int], int]:
-    rng = Random(cfg.seed)
+def run_sweep(
+    count: int, max_gens: int, max_len: int, seed: int
+) -> tuple[Counter[int], int]:
+    rng = Random(seed)
     gaps: Counter[int] = Counter()
     verified = 0
-    for _ in range(cfg.count):
+    for _ in range(count):
         reg = Registry()
-        p = random_presentation(rng, reg, max_gens=cfg.max_gens, max_len=cfg.max_len)
+        p = random_presentation(rng, reg, max_gens=max_gens, max_len=max_len)
         root = build_tower(p, reg)
         report = summarize(root)
         gaps[report.length_bound - report.tower_bound] += 1
@@ -47,19 +40,15 @@ def run_sweep(cfg: SweepConfig) -> tuple[Counter[int], int]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    defaults = SweepConfig()
-    parser.add_argument("--count", type=int, default=defaults.count)
-    parser.add_argument("--max-gens", type=int, default=defaults.max_gens)
-    parser.add_argument("--max-len", type=int, default=defaults.max_len)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--count", type=int, default=10_000)
+    parser.add_argument("--max-gens", type=int, default=4)
+    parser.add_argument("--max-len", type=int, default=12)
+    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    cfg = SweepConfig(
-        count=args.count, max_gens=args.max_gens, max_len=args.max_len, seed=args.seed
-    )
 
-    gaps, verified = run_sweep(cfg)
+    gaps, verified = run_sweep(args.count, args.max_gens, args.max_len, args.seed)
     total = sum(gaps.values())
-    print(f"presentations: {total}   verified: {verified}   seed: {cfg.seed}")
+    print(f"presentations: {total}   verified: {verified}   seed: {args.seed}")
     print("gap (length bound - tower bound):")
     widest = max(gaps.values())
     for gap in sorted(gaps):

@@ -7,7 +7,6 @@ length on a fixed generator set.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from asdim import (
     Presentation,
@@ -21,14 +20,8 @@ from asdim import (
 )
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    max_len: int = 8
-    gens: int = 2
-
-
-def row_for_length(cfg: TableConfig, length: int) -> tuple[int, int, float, int]:
-    names = "abcdefgh"[: cfg.gens]
+def row_for_length(gens_count: int, length: int) -> tuple[int, int, float, int]:
+    names = "abcdefgh"[:gens_count]
     reg = Registry()
     gens = tuple(reg.declare(n) for n in names)
     count = 0
@@ -50,15 +43,13 @@ def row_for_length(cfg: TableConfig, length: int) -> tuple[int, int, float, int]
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    defaults = TableConfig()
-    parser.add_argument("--max-len", type=int, default=defaults.max_len)
-    parser.add_argument("--gens", type=int, default=defaults.gens)
+    parser.add_argument("--max-len", type=int, default=8)
+    parser.add_argument("--gens", type=int, default=2)
     args = parser.parse_args()
-    cfg = TableConfig(max_len=args.max_len, gens=args.gens)
 
     print("length  relators  max_bound  mean_bound  length_bound  failures")
-    for length in range(1, cfg.max_len + 1):
-        count, worst, mean, failures = row_for_length(cfg, length)
+    for length in range(1, args.max_len + 1):
+        count, worst, mean, failures = row_for_length(args.gens, length)
         print(
             f"{length:6d}  {count:8d}  {worst:9d}  {mean:10.3f}"
             f"  {ceil_half(length):12d}  {failures:8d}"

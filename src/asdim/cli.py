@@ -58,11 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "certify", help="emit the certificate document and verify it"
     )
     p_cert.add_argument("presentation")
-    p_cert.add_argument(
-        "--json",
-        action="store_true",
-        help="accepted for symmetry; the certificate is already JSON",
-    )
 
     p_batch = sub.add_parser(
         "batch", help="process one presentation per line of a file, or a random sweep"

@@ -3,10 +3,10 @@ small structural helpers the tower builder dispatches on.
 
 hnn_rewrite applies when some generator t has exponent sum zero in the
 relator: every other letter x is tagged with the running t-exponent i of
-the prefix before it, standing for the conjugate t^i x t^-i, and the
-t-letters themselves disappear.  The result is a strictly shorter relator
-over a fresh generator family, exhibiting the group as an HNN extension
-over the group of that family.
+the prefix before it, becoming a fresh generator x@i that stands for the
+conjugate t^i x t^-i, and the t-letters themselves disappear.  The
+result is a strictly shorter relator over a fresh generator family,
+exhibiting the group as an HNN extension over the group of that family.
 
 zero_sum_embedding applies when every generator has nonzero exponent sum:
 two generators u, v with sums alpha, beta are traded for fresh t, b via
@@ -24,7 +24,6 @@ from .words import (
     Generator,
     Letter,
     Registry,
-    Subscripted,
     Word,
     _Record,
     concat,
@@ -63,15 +62,14 @@ def split_free_part(p: Presentation) -> tuple[Presentation, list[Generator]]:
     return Presentation(core_gens, p.relator), free
 
 
-def _tally(r: Word) -> tuple[dict[int, int], dict[int, int]]:
-    """Occurrence counts and exponent sums by generator uid, taken in one
-    pass over r; generators absent from r have no key."""
-    occurrences: dict[int, int] = {}
-    sums: dict[int, int] = {}
-    for l in r.letters:
-        uid = l.gen.uid
-        occurrences[uid] = occurrences.get(uid, 0) + 1
-        sums[uid] = sums.get(uid, 0) + l.sign
+def _tally(r: Word) -> tuple[dict[Generator, int], dict[Generator, int]]:
+    """Occurrence counts and exponent sums by generator, taken in one pass
+    over r; generators absent from r have no key."""
+    occurrences: dict[Generator, int] = {}
+    sums: dict[Generator, int] = {}
+    for g, sign in r.letters:
+        occurrences[g] = occurrences.get(g, 0) + 1
+        sums[g] = sums.get(g, 0) + sign
     return occurrences, sums
 
 
@@ -79,7 +77,7 @@ def find_single_occurrence(p: Presentation) -> Generator | None:
     """First generator, in declaration order, occurring exactly once."""
     occurrences, _ = _tally(p.relator)
     for g in p.generators:
-        if occurrences.get(g.uid) == 1:
+        if occurrences.get(g) == 1:
             return g
     return None
 
@@ -90,7 +88,7 @@ def find_zero_exponent(p: Presentation) -> Generator | None:
     occurrences."""
     _, sums = _tally(p.relator)
     for g in p.generators:
-        if sums.get(g.uid) == 0:
+        if sums.get(g) == 0:
             return g
     return None
 
@@ -107,12 +105,13 @@ class RenameEntry(NamedTuple):
 class HnnRewrite(_Record):
     """Outcome of rewriting a relator over a zero-exponent-sum letter.
 
-    rewritten is the new relator over subscripted conjugate generators;
-    child is the same word over fresh renamed generators, packaged as the
-    next presentation to decompose.  min/max_subscript range over the
-    base family of the first rewritten letter, which measures the span of
-    conjugates the HNN extension glues along.  renaming holds one
-    RenameEntry per child generator.
+    child is the next presentation to decompose, and rewritten is its
+    relator, over fresh generators base@i.  renaming holds one RenameEntry
+    per child generator, in the child's generator order: by the base's
+    declaration index, then by subscript.  The rows are the only record
+    of which conjugate a child generator stands for.  min/max_subscript
+    range over the base family of the first rewritten letter, which
+    measures the span of conjugates the HNN extension glues along.
     """
 
     __slots__ = (
@@ -148,51 +147,35 @@ def hnn_rewrite(p: Presentation, stable: Generator, registry: Registry) -> HnnRe
     if all(l.gen == stable for l in r):
         raise ValueError("relator is a pure power of the stable letter")
 
-    acc = 0
+    # One fresh generator per conjugate (base, i), held as its letter pair.
+    conjugates: dict[tuple[Generator, int], tuple[Letter, Letter]] = {}
     emitted: list[Letter] = []
-    for l in r:
-        if l.gen == stable:
+    acc = 0
+    for l in r.letters:
+        if l.gen is stable:
             acc += l.sign
-        else:
-            emitted.append(Letter(registry.subscripted(l.gen, acc), l.sign))
+            continue
+        pair = conjugates.get((l.gen, acc))
+        if pair is None:
+            g = registry.declare(f"{l.gen.name}@{acc}")
+            pair = conjugates[l.gen, acc] = (Letter(g, 1), Letter(g, -1))
+        emitted.append(pair[l.sign < 0])
     assert acc == 0
 
-    raw = Word(tuple(emitted))
-    core, conj = cyclic_reduce(raw)
-    # For a cyclically reduced relator the emitted sequence is already
-    # freely and cyclically reduced: adjacent tags cancel only where the
-    # relator itself had a cancelling pair, and an end-to-end cancellation
-    # would force the relator's own ends to cancel.
-    assert not conj.letters and len(core) == len(emitted)
-    rewritten = core
+    index = {g: k for k, g in enumerate(p.generators)}
+    rows = sorted(conjugates, key=lambda key: (index[key[0]], key[1]))
+    renaming = tuple(RenameEntry(conjugates[key][0].gen, *key) for key in rows)
+    child = Presentation(tuple(e.fresh for e in renaming), Word(tuple(emitted)))
+    # For a cyclically reduced relator the emitted word is already freely
+    # and cyclically reduced: adjacent tags cancel only where the relator
+    # itself had a cancelling pair, and an end-to-end cancellation would
+    # force the relator's own ends to cancel.
+    assert len(child.relator) == len(emitted) <= len(r) - 2
 
-    first = emitted[0].gen.origin
-    assert isinstance(first, Subscripted)
-    pivot_base = first.base
-
-    parent_index = {g.uid: k for k, g in enumerate(p.generators)}
-    occurring = sorted(
-        {l.gen for l in rewritten},
-        key=lambda g: (parent_index[g.origin.base.uid], g.origin.subscript),  # type: ignore[union-attr]
-    )
-    entries: list[RenameEntry] = []
-    renamed: dict[Generator, Generator] = {}
-    for g in occurring:
-        origin = g.origin
-        assert isinstance(origin, Subscripted)
-        fresh = registry.fresh(g.name)
-        entries.append(RenameEntry(fresh, origin.base, origin.subscript))
-        renamed[g] = fresh
-
-    child_word = Word(
-        tuple(Letter(renamed[l.gen], l.sign) for l in rewritten), reduced=True
-    )
-    child = Presentation(tuple(e.fresh for e in entries), child_word)
-
-    family = [e.subscript for e in entries if e.base == pivot_base]
-    assert len(rewritten) <= len(r) - 2
+    pivot_base = next(l.gen for l in r.letters if l.gen is not stable)
+    family = [e.subscript for e in renaming if e.base is pivot_base]
     return HnnRewrite(
-        stable, pivot_base, rewritten, min(family), max(family), tuple(entries), child
+        stable, pivot_base, child.relator, min(family), max(family), renaming, child
     )
 
 
@@ -200,7 +183,7 @@ def choose_embedding_pair(p: Presentation) -> tuple[Generator, Generator]:
     """Pick the ordered generator pair (u, v) minimizing |alpha * beta|,
     ties broken by declaration order of u and then v."""
     _, sums = _tally(p.relator)
-    occurring = [g for g in p.generators if g.uid in sums]
+    occurring = [g for g in p.generators if g in sums]
     if len(occurring) < 2:
         raise ValueError("embedding needs at least two occurring generators")
     best: tuple[int, int, int] | None = None
@@ -209,7 +192,7 @@ def choose_embedding_pair(p: Presentation) -> tuple[Generator, Generator]:
         for iv, v in enumerate(occurring):
             if u == v:
                 continue
-            key = (abs(sums[u.uid] * sums[v.uid]), iu, iv)
+            key = (abs(sums[u] * sums[v]), iu, iv)
             if best is None or key < best:
                 best, pair = key, (u, v)
     assert pair is not None

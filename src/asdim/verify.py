@@ -223,8 +223,7 @@ def _verify_hnn(node: HnnStep, r: Word, flag) -> None:
         if not same:
             flag("expansion", "expanded child relator differs from the parent relator")
 
-    stored = [(l.gen.name, l.sign) for l in rw.rewritten]
-    if stored != [(l.gen.name, l.sign) for l in s]:
+    if rw.rewritten.letters != s.letters:
         flag("rewritten word", "does not match the child relator")
 
     if len(s) > len(r) - 2:

@@ -1,7 +1,7 @@
 """Exact word arithmetic in finitely generated free groups.
 
-Generators are atoms made only by a Registry, each with a fresh uid,
-never identified by display name: a generator is equal only to itself.
+Generators are atoms made only by a Registry, never identified by
+display name: a generator is equal only to itself.
 Words are immutable sequences of signed letters; every operation is
 pure.  The only mutable object is the Registry.  No code path in the
 package is concurrent; a registry belongs to one pipeline at a time.
@@ -25,7 +25,6 @@ __all__ = [
     "Letter",
     "MissingImageError",
     "Registry",
-    "Subscripted",
     "Word",
     "EMPTY_WORD",
     "concat",
@@ -41,10 +40,6 @@ __all__ = [
     "single",
     "substitute",
 ]
-
-# Process-wide uid source.  Uniqueness across all registries means atoms
-# from unrelated pipelines can never alias each other by accident.
-_UIDS = itertools.count()
 
 _set = object.__setattr__
 
@@ -117,33 +112,19 @@ class _Record:
         return type(self)(*values, **changes)
 
 
-class Subscripted(_Record):
-    """Provenance of a conjugate-family generator: base conjugated by the
-    i-th power of a stable letter."""
-
-    __slots__ = ("base", "subscript")
-
-
 class Generator(_Record):
     """A generator atom, equal only to itself.
 
-    Registry is the only constructor and gives every atom a fresh uid, so
-    no two objects share one, and object identity decides equality
-    exactly as comparing uids would.  Equality and hashing are therefore
-    object's own, and set and dict lookups and comparisons of letters run
-    without calling back into Python.  Display names may repeat across
-    construction steps.  origin, a Subscripted, is None except for
-    conjugate-family generators.
+    A Registry makes every atom.  Equality and hashing are object's own,
+    so set and dict lookups and comparisons of letters run without
+    calling back into Python.  Two atoms may share a display name; a
+    certificate identifies generators by name, so the engine keeps the
+    names within one chain distinct.
     """
 
-    __slots__ = ("name", "uid", "origin")
+    __slots__ = ("name",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, name: str, uid: int, origin: Subscripted | None = None) -> None:
-        _set(self, "name", name)
-        _set(self, "uid", uid)
-        _set(self, "origin", origin)
 
     def __repr__(self) -> str:
         return self.name
@@ -397,47 +378,21 @@ def format_word(w: Word) -> str:
 
 
 class Registry:
-    """Allocates generator atoms.
-
-    uids come from a process-global counter, so distinct registries never
-    hand out aliasing atoms; the per-registry state only drives the
-    deterministic display names of invented generators.
-    """
+    """Allocates generator atoms, a new one on every call.  The only
+    per-registry state is the count behind the display names of
+    embedding pairs, so those names are deterministic."""
 
     def __init__(self) -> None:
-        self._subscripted: dict[tuple[int, int], Generator] = {}
         self._pair_count = 0
 
     def declare(self, name: str) -> Generator:
         if not name:
             raise ValueError("generator name must be nonempty")
-        return Generator(name, next(_UIDS))
-
-    def fresh(self, name: str) -> Generator:
-        """A new atom for a name the engine invented, which may repeat the
-        name of another atom."""
-        return Generator(name, next(_UIDS))
-
-    def subscripted(self, base: Generator, subscript: int) -> Generator:
-        """The conjugate-family generator written base@subscript.
-
-        Memoized per registry, so repeated requests within one rewriting
-        step yield the identical atom.
-        """
-        key = (base.uid, subscript)
-        g = self._subscripted.get(key)
-        if g is None:
-            g = Generator(
-                f"{base.name}@{subscript}",
-                next(_UIDS),
-                Subscripted(base, subscript),
-            )
-            self._subscripted[key] = g
-        return g
+        return Generator(name)
 
     def embedding_pair(self) -> tuple[Generator, Generator]:
         """A fresh (t#k, b#k) pair for an embedding substitution; k counts
         per registry so rendered names are deterministic."""
         self._pair_count += 1
         k = self._pair_count
-        return Generator(f"t#{k}", next(_UIDS)), Generator(f"b#{k}", next(_UIDS))
+        return Generator(f"t#{k}"), Generator(f"b#{k}")

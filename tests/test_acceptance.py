@@ -154,8 +154,8 @@ def test_genus_two_surface_group():
 
 def test_hnn_expansion_identity_random_pairs():
     """For 1,000 random eligible (relator, pivot) pairs, replacing each
-    subscripted letter x@i by t^i x t^-i and freely reducing reproduces
-    the relator letter for letter, and |s| <= |r| - 2."""
+    child letter x@i by t^i x t^-i, as its renaming row says, and freely
+    reducing reproduces the relator letter for letter, and |s| <= |r| - 2."""
     rng = Random(RANDOM_SEED + 1)
     pairs = 0
     while pairs < 1_000:
@@ -167,11 +167,12 @@ def test_hnn_expansion_identity_random_pairs():
             if occ < 2 or occ == len(r) or exponent_sum(r, g) != 0:
                 continue
             rw = hnn_rewrite(p, g, reg)
+            rows = {e.fresh: e for e in rw.renaming}
             parts = [
                 concat(
-                    generator_power(rw.stable, l.gen.origin.subscript),
-                    single(l.gen.origin.base, l.sign),
-                    generator_power(rw.stable, -l.gen.origin.subscript),
+                    generator_power(rw.stable, rows[l.gen].subscript),
+                    single(rows[l.gen].base, l.sign),
+                    generator_power(rw.stable, -rows[l.gen].subscript),
                 )
                 for l in rw.rewritten
             ]

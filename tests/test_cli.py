@@ -13,7 +13,14 @@ from pathlib import Path
 import pytest
 
 import asdim.cli
-from asdim import VerificationReport, Violation
+from asdim import (
+    Registry,
+    VerificationReport,
+    Violation,
+    build_tower,
+    emit_certificate,
+    parse_presentation,
+)
 from asdim.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,6 +131,27 @@ class TestCertify:
         monkeypatch.setattr(asdim.cli, "verify_certificate", lambda root: fake)
         assert main(["certify", "< a, b | [a, b] >"]) == 2
         assert "forced failure" in capsys.readouterr().err
+
+    def test_prints_the_certificate_whatever_the_verdict(self, capsys, monkeypatch):
+        text = "< u, v | u^2 v^3 >"
+        reg = Registry()
+        cert = emit_certificate(build_tower(parse_presentation(text, reg), reg))
+        assert main(["certify", text]) == 0
+        assert capsys.readouterr().out == cert + "\n"
+        assert main(["certify", "< u, v | u^2 w >"]) == 1
+        assert capsys.readouterr().out == ""
+        fake = VerificationReport(
+            violations=(Violation(0, "case2_embed", "bound", "forced failure"),)
+        )
+        monkeypatch.setattr(asdim.cli, "verify_certificate", lambda root: fake)
+        assert main(["certify", text]) == 2
+        assert capsys.readouterr().out == cert + "\n"
+
+    def test_has_no_json_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["certify", "< a | a^2 >", "--json"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 class TestBatch:

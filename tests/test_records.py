@@ -32,7 +32,6 @@ from asdim import (
     verify_certificate,
     walk,
 )
-from asdim.words import Subscripted
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -69,10 +68,8 @@ def one_of_each():
     records += [hnn, hnn.rewrite, emb, emb.embedding, summarize(emb)]
     report = verify_certificate(hnn._replace(bound=7))
     records += [report, report.violations[0]]
-    reg = Registry()
-    a = reg.declare("a")
-    sub = reg.subscripted(a, 2)
-    records += [a, sub, sub.origin, hnn.presentation, hnn.presentation.relator]
+    fresh = hnn.rewrite.renaming[0].fresh
+    records += [Registry().declare("a"), fresh, hnn.presentation, hnn.presentation.relator]
     return records
 
 
@@ -87,7 +84,6 @@ RECORD_CLASSES = {
     HnnStep,
     Presentation,
     SingleElim,
-    Subscripted,
     VerificationReport,
     Violation,
     Word,
@@ -199,7 +195,7 @@ class TestEquality:
     def test_generator_compares_by_identity(self):
         reg = Registry()
         a = reg.declare("a")
-        twin = Generator(a.name, a.uid, a.origin)
+        twin = Generator(a.name)
         assert a == a and a != twin
         assert len({a, twin}) == 2
 

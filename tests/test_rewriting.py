@@ -36,16 +36,18 @@ def names(word):
 
 
 def expand_rewritten(rw):
-    """Replay the substitution the rewrite encodes: each subscripted
-    letter x@i^s becomes (t^i x t^-i)^s over the parent alphabet."""
+    """Replay the substitution the rewrite encodes: each child letter
+    x@i^s becomes (t^i x t^-i)^s over the parent alphabet, as its renaming
+    row says."""
+    rows = {e.fresh: e for e in rw.renaming}
     parts = []
     for l in rw.rewritten:
-        origin = l.gen.origin
+        row = rows[l.gen]
         parts.append(
             concat(
-                generator_power(rw.stable, origin.subscript),
-                single(origin.base, l.sign),
-                generator_power(rw.stable, -origin.subscript),
+                generator_power(rw.stable, row.subscript),
+                single(row.base, l.sign),
+                generator_power(rw.stable, -row.subscript),
             )
         )
     return reduce_word(concat(*parts))
@@ -129,6 +131,18 @@ class TestHnnRewrite:
         p = parse_presentation("< t, b, c | c t b t^-1 b^-1 c >", reg)
         rw = hnn_rewrite(p, p.generators[0], reg)
         assert rw.base.name == "c"
+
+    def test_repeated_conjugate_is_one_atom(self):
+        reg = Registry()
+        p = parse_presentation("< a, t | t a t^-1 a^-1 t a t^-1 a^-1 >", reg)
+        rw = hnn_rewrite(p, p.generators[1], reg)
+        assert names(rw.rewritten) == (("a@1", 1), ("a@0", -1)) * 2
+        assert rw.rewritten is rw.child.relator
+        ls = rw.rewritten.letters
+        assert ls[0].gen is ls[2].gen and ls[1].gen is ls[3].gen
+        assert ls[0].gen is not ls[1].gen
+        assert [l.gen for l in ls[:2]] == [e.fresh for e in reversed(rw.renaming)]
+        assert rw.child.generators == tuple(e.fresh for e in rw.renaming)
 
     def test_length_drops_by_stable_occurrences(self):
         reg = Registry()

@@ -139,14 +139,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             Registry().declare("")
 
-    def test_subscripted_is_memoized_per_registry(self):
-        reg = Registry()
-        g = reg.declare("b")
-        assert reg.subscripted(g, 3) is reg.subscripted(g, 3)
-        assert reg.subscripted(g, 3).name == "b@3"
-        assert reg.subscripted(g, -1).name == "b@-1"
-        assert reg.subscripted(g, 3) != reg.subscripted(g, 2)
-
     def test_embedding_pair_counts_per_registry(self):
         reg = Registry()
         t1, b1 = reg.embedding_pair()
