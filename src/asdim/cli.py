@@ -50,9 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tree = sub.add_parser("tree", help="print the decomposition chain")
     p_tree.add_argument("presentation")
-    p_tree.add_argument(
-        "--json", action="store_true", help="emit the certificate document instead"
-    )
 
     p_cert = sub.add_parser(
         "certify", help="emit the certificate document and verify it"
@@ -137,11 +134,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     p = _parse_or_complain(args.presentation, reg)
     if p is None:
         return 1
-    root = build_tower(p, reg)
-    if args.json:
-        print(emit_certificate(root))
-    else:
-        print(render_tree(root))
+    print(render_tree(build_tower(p, reg)))
     return 0
 
 

@@ -97,7 +97,7 @@ class Presentation(_Record):
         declared = set(generators)
         if len(declared) != len(generators):
             raise ValueError("duplicate generator in presentation")
-        core = cyclic_reduce(relator).core
+        core = cyclic_reduce(relator)
         _set(self, "generators", generators)
         _set(self, "relator", core)
         if not letters_of(self) <= declared:

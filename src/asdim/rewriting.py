@@ -180,23 +180,26 @@ def hnn_rewrite(p: Presentation, stable: Generator, registry: Registry) -> HnnRe
 
 
 def choose_embedding_pair(p: Presentation) -> tuple[Generator, Generator]:
-    """Pick the ordered generator pair (u, v) minimizing |alpha * beta|,
-    ties broken by declaration order of u and then v."""
+    """Pick the ordered pair (u, v) of occurring generators minimizing
+    |alpha * beta|, ties broken by declaration order of u and then v.
+
+    With every sum nonzero, a pair of least product has the two least
+    |sums| m1 <= m2 (a pair's |sums| x <= y have x >= m1 and y >= m2), so
+    it is the two generators of least |sum|, the earlier-declared one on
+    a tie, in declaration order.  A pair with a zero-sum member has
+    product 0: then u is the first occurring generator, and v the first
+    other one if u has sum 0, else the first of sum 0.
+    """
     _, sums = _tally(p.relator)
     occurring = [g for g in p.generators if g in sums]
     if len(occurring) < 2:
         raise ValueError("embedding needs at least two occurring generators")
-    best: tuple[int, int, int] | None = None
-    pair: tuple[Generator, Generator] | None = None
-    for iu, u in enumerate(occurring):
-        for iv, v in enumerate(occurring):
-            if u == v:
-                continue
-            key = (abs(sums[u] * sums[v]), iu, iv)
-            if best is None or key < best:
-                best, pair = key, (u, v)
-    assert pair is not None
-    return pair
+    sizes = [abs(sums[g]) for g in occurring]
+    if 0 in sizes:
+        return occurring[0], occurring[1 if sizes[0] == 0 else sizes.index(0)]
+    i = min(range(len(sizes)), key=sizes.__getitem__)
+    j = min((k for k in range(len(sizes)) if k != i), key=sizes.__getitem__)
+    return occurring[min(i, j)], occurring[max(i, j)]
 
 
 class ZeroSumEmbedding(_Record):
@@ -230,7 +233,7 @@ def zero_sum_embedding(
     images = {g: single(g) for g in p.generators}
     images[u] = concat(single(carrier), generator_power(stable, -beta))
     images[v] = generator_power(stable, alpha)
-    image = cyclic_reduce(substitute(r, images)).core
+    image = cyclic_reduce(substitute(r, images))
 
     assert exponent_sum(image, stable) == 0
     assert occurrence_count(image, carrier) >= 1

@@ -41,6 +41,7 @@ rewriting code.
 
 from __future__ import annotations
 
+from .presentations import letters_of
 from .tower import (
     CyclicLeaf,
     EmbedStep,
@@ -109,11 +110,6 @@ def verify_certificate(root: Node) -> VerificationReport:
     return VerificationReport(tuple(out))
 
 
-def _occurring(w: Word) -> set:
-    """The generators that occur in w, from one pass over its letters in C."""
-    return {l.gen for l in set(w.letters)}
-
-
 def _verify_free_leaf(node: FreeLeaf, r: Word, flag) -> None:
     p = node.presentation
     if len(r) == 0:
@@ -128,7 +124,8 @@ def _verify_free_leaf(node: FreeLeaf, r: Word, flag) -> None:
 
 
 def _verify_cyclic_leaf(node: CyclicLeaf, r: Word, flag) -> None:
-    if len(_occurring(r)) != 1 or len(node.presentation.generators) != 1:
+    p = node.presentation
+    if len(letters_of(p)) != 1 or len(p.generators) != 1:
         flag("relator shape", "not a one-generator power presentation")
     if node.order != len(r):
         flag("order", f"stored {node.order}, relator length {len(r)}")
@@ -156,7 +153,7 @@ def _verify_free_split(node: FreeSplit, r: Word, flag) -> None:
     core_set = set(core.generators)
     if not core_set <= parent_set:
         flag("core generators", "not a subset of the parent generators")
-    occurring = _occurring(r)
+    occurring = letters_of(p)
     absent = [g for g in p.generators if g not in core_set]
     for g in absent:
         if g in occurring:
@@ -229,7 +226,7 @@ def _verify_hnn(node: HnnStep, r: Word, flag) -> None:
     if len(s) > len(r) - 2:
         flag("length", f"child relator has length {len(s)}, parent {len(r)}")
 
-    present = _occurring(s)
+    present = letters_of(child_p)
     family = [
         e.subscript for e in entries if e.base == rw.base and e.fresh in present
     ]

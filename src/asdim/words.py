@@ -256,21 +256,13 @@ def fold_runs(runs: Iterable[Sequence]) -> list[list]:
     return stack
 
 
-class CyclicReduction(NamedTuple):
-    core: Word
-    conjugator: Word
-
-
-def cyclic_reduce(w: Word) -> CyclicReduction:
-    """Strip mutually cancelling first/last letters after free reduction.
-
-    Returns (core, conjugator) with core cyclically reduced and
-    conjugator * core * conjugator^-1 freely equal to w.
+def cyclic_reduce(w: Word) -> Word:
+    """Strip mutually cancelling first/last letters after free reduction,
+    leaving the cyclically reduced core, a conjugate of w.
 
     >>> r = Registry(); a, b = r.declare("a"), r.declare("b")
-    >>> core, conj = cyclic_reduce(concat(single(a), single(b), single(a, -1)))
-    >>> format_word(core), format_word(conj)
-    ('b', 'a')
+    >>> format_word(cyclic_reduce(concat(single(a), single(b), single(a, -1))))
+    'b'
     """
     red = reduce_word(w)
     ls = red.letters
@@ -278,12 +270,8 @@ def cyclic_reduce(w: Word) -> CyclicReduction:
     while j - i >= 2 and ls[i].gen is ls[j - 1].gen and ls[i].sign == -ls[j - 1].sign:
         i += 1
         j -= 1
-    if i == 0:
-        return CyclicReduction(red, EMPTY_WORD)
     # Contiguous slices of a reduced word are reduced.
-    return CyclicReduction(
-        Word(ls[i:j], reduced=True), Word(ls[:i], reduced=True)
-    )
+    return red if i == 0 else Word(ls[i:j], reduced=True)
 
 
 def exponent_sum(w: Word, gen: Generator) -> int:
@@ -331,8 +319,8 @@ def equal_as_cyclic_words(a: Word, b: Word) -> bool:
     prefix-function (Knuth-Morris-Pratt) search for a's core in b's core
     doubled.
     """
-    ca = cyclic_reduce(a).core.letters
-    cb = cyclic_reduce(b).core.letters
+    ca = cyclic_reduce(a).letters
+    cb = cyclic_reduce(b).letters
     if len(ca) != len(cb):
         return False
     if ca == cb:

@@ -71,6 +71,30 @@ def naive_hnn_expansion(parent, child, renaming, stable) -> str | None:
     return None
 
 
+def naive_embedding_pair(p):
+    """The ordered pair (u, v) of occurring generators minimizing
+    |alpha * beta|, ties broken by declaration order of u and then v,
+    found by comparing every ordered pair, with the exponent sums taken
+    letter by letter."""
+    sums = {}
+    for l in p.relator.letters:
+        sums[l.gen] = sums.get(l.gen, 0) + l.sign
+    occurring = [g for g in p.generators if g in sums]
+    if len(occurring) < 2:
+        raise ValueError("embedding needs at least two occurring generators")
+    best = None
+    pair = None
+    for iu, u in enumerate(occurring):
+        for iv, v in enumerate(occurring):
+            if u == v:
+                continue
+            key = (abs(sums[u] * sums[v]), iu, iv)
+            if best is None or key < best:
+                best, pair = key, (u, v)
+    assert pair is not None
+    return pair
+
+
 def naive_bound(root) -> int:
     """The dimension bound a chain certifies, from its structure alone and
     ignoring every stored bound: a free group of rank r has dimension

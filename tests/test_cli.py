@@ -106,11 +106,11 @@ class TestTree:
         assert "case2_embed" in out
         assert "case1_hnn" in out
 
-    def test_json_emits_certificate(self, capsys):
-        assert main(["tree", "< a, b | [a, b] >", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == 1
-        assert doc["root"]["kind"] == "case1_hnn"
+    def test_has_no_json_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["tree", "< a, b | [a, b] >", "--json"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 class TestCertify:

@@ -29,6 +29,7 @@ from asdim import (
     substitute,
     zero_sum_embedding,
 )
+from oracles import naive_embedding_pair
 
 
 def names(word):
@@ -199,6 +200,40 @@ class TestEmbeddingPair:
     def test_needs_two_occurring(self):
         with pytest.raises(ValueError, match="at least two occurring"):
             choose_embedding_pair(parse_presentation("< a | a^3 >"))
+
+    @pytest.mark.parametrize(
+        "text, pair",
+        [
+            # u is not the generator of least |sum|.
+            ("< a, b, c, d | a^3 b^2 c^2 d >", ("b", "d")),
+            ("< a, b, c, d | a^-2 b^3 c^2 d^-3 >", ("a", "c")),
+            # u has sum 0.
+            ("< a, b, c | a b a^-1 b c^2 >", ("a", "b")),
+            # v has sum 0.
+            ("< a, b, c | a^2 b c b^-1 >", ("a", "b")),
+        ],
+    )
+    def test_pinned_pairs(self, text, pair):
+        u, v = choose_embedding_pair(parse_presentation(text))
+        assert (u.name, v.name) == pair
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_matches_the_pairwise_oracle(self, data):
+        gens = "abcdef"[: data.draw(st.integers(min_value=2, max_value=6))]
+        exponents = st.sampled_from((-3, -2, -1, 1, 2, 3))
+        terms = data.draw(
+            st.lists(st.tuples(st.sampled_from(gens), exponents), max_size=10)
+        )
+        word = " ".join(f"{x}^{e}" for x, e in terms) or "1"
+        p = parse_presentation(f"< {', '.join(gens)} | {word} >")
+        outcomes = []
+        for choose in (choose_embedding_pair, naive_embedding_pair):
+            try:
+                outcomes.append(choose(p))
+            except ValueError as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestZeroSumEmbedding:
