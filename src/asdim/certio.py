@@ -5,10 +5,20 @@ plain-text tree rendering.
 The document is integers and strings only, keys in a fixed order, so
 emitting, parsing, and emitting again is byte-identical.  Generator
 identity inside one document is by display name; names invented by the
-engine are unique within a chain by construction.  Each node kind's
-fields, the key linking it to the next node, and its rendered headline
-are one entry of the _KINDS table; emit, parse and render loop over the
-chain with it.
+engine are unique within a chain by construction.
+
+Each node kind is one entry of the _KINDS table: its own keys in
+document order, the key linking it to the next node, and its rendered
+headline.  A key names the node field it holds, and the keys come in the
+order of the node's slots.  Each key has one of four field codecs,
+which write a field as a v1 value and read it back:
+
+    _INT    an integer                          2
+    _GEN    a generator, as its name            "b@0"
+    _WORD   a word, in presentation syntax      "b@1 b@0^-1"
+    _ROWS   renaming rows [fresh, base, i]      [["b@0", "b", 0]]
+
+emit, parse and render loop over the chain with the table.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from .presentations import (
     parse_presentation,
     parse_word,
 )
-from .rewriting import HnnRewrite, RenameEntry, ZeroSumEmbedding
+from .rewriting import RenameEntry
 from .tower import (
     CyclicLeaf,
     EmbedStep,
@@ -93,9 +103,9 @@ class _Reader:
             declare=self.intern,
         )
 
-    def renaming(self, d: dict[str, Any]) -> tuple[RenameEntry, ...]:
+    def renaming(self, d: dict[str, Any], key: str) -> tuple[RenameEntry, ...]:
         entries = []
-        for row in _need(d, "renaming", list):
+        for row in _need(d, key, list):
             if (
                 not isinstance(row, list)
                 or len(row) != 3
@@ -108,103 +118,65 @@ class _Reader:
         return tuple(entries)
 
 
-def _hnn_fields(node: HnnStep) -> dict[str, Any]:
-    rw = node.rewrite
-    return {
-        "stable": rw.stable.name,
-        "base": rw.base.name,
-        "rewritten": format_word(rw.rewritten),
-        "min_subscript": rw.min_subscript,
-        "max_subscript": rw.max_subscript,
-        "renaming": [[e.fresh.name, e.base.name, e.subscript] for e in rw.renaming],
-    }
+class _Codec(NamedTuple):
+    """How a node field is written as a v1 value and read back."""
+
+    write: Callable[[Any], Any]
+    read: Callable[[_Reader, dict[str, Any], str], Any]
 
 
-def _parse_hnn(rd: _Reader, d: dict[str, Any], child: Node) -> tuple:
-    rewrite = HnnRewrite(
-        rd.gen(d, "stable"),
-        rd.gen(d, "base"),
-        rd.word(d, "rewritten"),
-        _need(d, "min_subscript", int),
-        _need(d, "max_subscript", int),
-        rd.renaming(d),
-        child.presentation,
-    )
-    return (rewrite,)
-
-
-def _embed_fields(node: EmbedStep) -> dict[str, Any]:
-    emb = node.embedding
-    return {
-        "u": emb.u.name,
-        "v": emb.v.name,
-        "alpha": emb.alpha,
-        "beta": emb.beta,
-        "stable": emb.stable.name,
-        "carrier": emb.carrier.name,
-        "image": format_word(emb.image),
-    }
-
-
-def _parse_embed(rd: _Reader, d: dict[str, Any], child: Node) -> tuple:
-    embedding = ZeroSumEmbedding(
-        rd.gen(d, "u"),
-        rd.gen(d, "v"),
-        _need(d, "alpha", int),
-        _need(d, "beta", int),
-        rd.gen(d, "stable"),
-        rd.gen(d, "carrier"),
-        rd.word(d, "image"),
-        child.presentation,
-    )
-    return (embedding,)
+_INT = _Codec(lambda n: n, lambda rd, d, key: _need(d, key, int))
+_GEN = _Codec(lambda g: g.name, _Reader.gen)
+_WORD = _Codec(format_word, _Reader.word)
+_ROWS = _Codec(
+    lambda rows: [[e.fresh.name, e.base.name, e.subscript] for e in rows],
+    _Reader.renaming,
+)
 
 
 class _Kind(NamedTuple):
     """How one node kind is written in a v1 document."""
 
     link: str | None  # key of the next node's object; None for a leaf
-    emit: Callable[[Any], dict[str, Any]]  # the kind's own fields, in key order
-    parse: Callable[[_Reader, dict[str, Any], Any], tuple]  # node fields back
+    keys: dict[str, _Codec]  # the kind's own fields, in key and slot order
     headline: str  # render_tree text, a format string over the emitted fields
 
 
 _KINDS: dict[type, _Kind] = {
-    FreeLeaf: _Kind(
-        None,
-        lambda n: {"rank": n.rank},
-        lambda rd, d, child: (_need(d, "rank", int),),
-        "rank={rank}",
-    ),
-    CyclicLeaf: _Kind(
-        None,
-        lambda n: {"order": n.order},
-        lambda rd, d, child: (_need(d, "order", int),),
-        "order={order}",
-    ),
+    FreeLeaf: _Kind(None, {"rank": _INT}, "rank={rank}"),
+    CyclicLeaf: _Kind(None, {"order": _INT}, "order={order}"),
     SingleElim: _Kind(
         None,
-        lambda n: {"eliminated": n.eliminated.name, "rank": n.resulting_rank},
-        lambda rd, d, child: (rd.gen(d, "eliminated"), _need(d, "rank", int)),
+        {"eliminated": _GEN, "rank": _INT},
         "eliminate={eliminated}  rank={rank}",
     ),
     FreeSplit: _Kind(
-        "child",
-        lambda n: {"split_off_rank": n.split_off_rank},
-        lambda rd, d, child: (_need(d, "split_off_rank", int),),
-        "split_off_rank={split_off_rank}",
+        "child", {"split_off_rank": _INT}, "split_off_rank={split_off_rank}"
     ),
     HnnStep: _Kind(
         "child",
-        _hnn_fields,
-        _parse_hnn,
+        {
+            "stable": _GEN,
+            "base": _GEN,
+            "rewritten": _WORD,
+            "min_subscript": _INT,
+            "max_subscript": _INT,
+            "renaming": _ROWS,
+        },
         "stable={stable}  base={base}  subscripts={min_subscript}..{max_subscript}"
         "  s={rewritten!r}",
     ),
     EmbedStep: _Kind(
         "inner",
-        _embed_fields,
-        _parse_embed,
+        {
+            "u": _GEN,
+            "v": _GEN,
+            "alpha": _INT,
+            "beta": _INT,
+            "stable": _GEN,
+            "carrier": _GEN,
+            "image": _WORD,
+        },
         "u={u} alpha={alpha}  v={v} beta={beta}  image={image!r}",
     ),
 }
@@ -216,12 +188,14 @@ def _fields(node: Node) -> dict[str, Any]:
     spec = _KINDS.get(type(node))
     if spec is None:
         raise TypeError(f"not a certificate node: {node!r}")
-    return {
+    fields = {
         "kind": node.kind,
         "presentation": format_presentation(node.presentation),
         "bound": node.bound,
-        **spec.emit(node),
     }
+    for key, codec in spec.keys.items():
+        fields[key] = codec.write(getattr(node, key))
+    return fields
 
 
 def _json(value: Any, pad: str) -> str:
@@ -302,7 +276,7 @@ def _from_objects(d: dict[str, Any], rd: _Reader) -> Node:
     for cls, d in reversed(path):
         p = rd.presentation(d)
         bound = _need(d, "bound", int)
-        fields = _KINDS[cls].parse(rd, d, node)
+        fields = [codec.read(rd, d, key) for key, codec in _KINDS[cls].keys.items()]
         link = () if node is None else (node,)
         node = cls(p, *fields, *link, bound)
     return node

@@ -158,8 +158,11 @@ def _batch_inputs(args: argparse.Namespace) -> list[str] | None:
         return None
     if args.random is not None:
         count, maxlen, gens = args.random
-        if count < 0 or maxlen < 1 or gens < 1:
-            print("--random needs COUNT >= 0, MAXLEN >= 1, GENS >= 1", file=sys.stderr)
+        if count < 0 or maxlen < 1 or not 1 <= gens <= 26:  # generators a to z
+            print(
+                "--random needs COUNT >= 0, MAXLEN >= 1, 1 <= GENS <= 26",
+                file=sys.stderr,
+            )
             return None
         rng = Random(args.seed)
         texts = []

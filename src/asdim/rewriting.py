@@ -1,6 +1,11 @@
 """The two relator-rewriting steps driving the decomposition, plus the
 small structural helpers the tower builder dispatches on.
 
+Each step function returns (fields, next presentation): fields are the
+values of the step's own node fields, in the node class's slot order
+(HnnStep and EmbedStep in asdim.tower, where each field is described),
+and the next presentation is the one the decomposition continues on.
+
 hnn_rewrite applies when some generator t has exponent sum zero in the
 relator: every other letter x is tagged with the running t-exponent i of
 the prefix before it, becoming a fresh generator x@i that stands for the
@@ -25,7 +30,6 @@ from .words import (
     Letter,
     Registry,
     Word,
-    _Record,
     concat,
     cyclic_reduce,
     exponent_sum,
@@ -36,9 +40,7 @@ from .words import (
 )
 
 __all__ = [
-    "HnnRewrite",
     "RenameEntry",
-    "ZeroSumEmbedding",
     "choose_embedding_pair",
     "find_single_occurrence",
     "find_zero_exponent",
@@ -102,32 +104,13 @@ class RenameEntry(NamedTuple):
     subscript: int
 
 
-class HnnRewrite(_Record):
-    """Outcome of rewriting a relator over a zero-exponent-sum letter.
-
-    child is the next presentation to decompose, and rewritten is its
-    relator, over fresh generators base@i.  renaming holds one RenameEntry
-    per child generator, in the child's generator order: by the base's
-    declaration index, then by subscript.  The rows are the only record
-    of which conjugate a child generator stands for.  min/max_subscript
-    range over the base family of the first rewritten letter, which
-    measures the span of conjugates the HNN extension glues along.
-    """
-
-    __slots__ = (
-        "stable",
-        "base",
-        "rewritten",
-        "min_subscript",
-        "max_subscript",
-        "renaming",
-        "child",
-    )
-
-
-def hnn_rewrite(p: Presentation, stable: Generator, registry: Registry) -> HnnRewrite:
+def hnn_rewrite(
+    p: Presentation, stable: Generator, registry: Registry
+) -> tuple[tuple, Presentation]:
     """Rewrite p's relator over the conjugate families of the non-stable
-    letters, eliminating the stable letter.
+    letters, eliminating the stable letter.  Returns the HnnStep fields
+    (stable, base, rewritten, min_subscript, max_subscript, renaming) and
+    the child presentation, whose relator is rewritten.
 
     Requires exponent_sum(relator, stable) == 0, at least two stable
     occurrences, and at least one other letter.  The emitted word expands
@@ -174,9 +157,8 @@ def hnn_rewrite(p: Presentation, stable: Generator, registry: Registry) -> HnnRe
 
     pivot_base = next(l.gen for l in r.letters if l.gen is not stable)
     family = [e.subscript for e in renaming if e.base is pivot_base]
-    return HnnRewrite(
-        stable, pivot_base, child.relator, min(family), max(family), renaming, child
-    )
+    fields = (stable, pivot_base, child.relator, min(family), max(family), renaming)
+    return fields, child
 
 
 def choose_embedding_pair(p: Presentation) -> tuple[Generator, Generator]:
@@ -202,23 +184,12 @@ def choose_embedding_pair(p: Presentation) -> tuple[Generator, Generator]:
     return occurring[min(i, j)], occurring[max(i, j)]
 
 
-class ZeroSumEmbedding(_Record):
-    """Outcome of the substitution u -> carrier * stable^-beta,
-    v -> stable^alpha on a relator where u, v have exponent sums
-    alpha, beta.
-
-    image is the cyclically reduced rewritten relator; the stable letter
-    has exponent sum zero in it and the carrier occurs.  embedded is the
-    presentation the decomposition continues on; the original group embeds
-    into the group it presents.
-    """
-
-    __slots__ = ("u", "v", "alpha", "beta", "stable", "carrier", "image", "embedded")
-
-
 def zero_sum_embedding(
     p: Presentation, u: Generator, v: Generator, registry: Registry
-) -> ZeroSumEmbedding:
+) -> tuple[tuple, Presentation]:
+    """Trade u, v for fresh stable and carrier letters.  Returns the
+    EmbedStep fields (u, v, alpha, beta, stable, carrier, image) and the
+    presentation p's group embeds into, whose relator is image."""
     r = p.relator
     if u == v:
         raise ValueError("embedding pair must be two distinct generators")
@@ -239,5 +210,5 @@ def zero_sum_embedding(
     assert occurrence_count(image, carrier) >= 1
 
     gens = (stable, carrier) + tuple(g for g in p.generators if g not in (u, v))
-    embedded = Presentation(gens, image)
-    return ZeroSumEmbedding(u, v, alpha, beta, stable, carrier, image, embedded)
+    child = Presentation(gens, image)
+    return (u, v, alpha, beta, stable, carrier, child.relator), child

@@ -15,7 +15,9 @@ these rules.
 
 A chain is singly linked through child (None at the leaf), and every
 node class carries its certificate kind name and its bound rule (the
-child's bound to its own).  Passes over a chain are loops, so its depth
+child's bound to its own).  A node is one flat record: its presentation,
+the fields of its step, its child and its bound.  The next presentation
+is held only by the child node.  Passes over a chain are loops, so its depth
 is not limited by the interpreter's recursion limit.  Nodes are
 immutable records (see asdim.words): a changed node, such as a tampered
 one in a test, is made with node._replace(field=value), which keeps the
@@ -29,8 +31,6 @@ from typing import Any, Iterator, Union
 
 from .presentations import Presentation, letters_of
 from .rewriting import (
-    HnnRewrite,
-    ZeroSumEmbedding,
     choose_embedding_pair,
     find_single_occurrence,
     find_zero_exponent,
@@ -38,7 +38,7 @@ from .rewriting import (
     split_free_part,
     zero_sum_embedding,
 )
-from .words import Generator, Registry, _Record, _set, exponent_sum
+from .words import Registry, _Record, _set, exponent_sum
 
 __all__ = [
     "BoundReport",
@@ -107,11 +107,9 @@ class SingleElim(_Node):
     """A generator occurring exactly once is eliminated; the rest generate
     freely, so this terminates the chain like a free leaf."""
 
-    __slots__ = ("presentation", "eliminated", "resulting_rank", "bound")
+    __slots__ = ("presentation", "eliminated", "rank", "bound")
     kind = "single_elim"
-
-    def bound_rule(self, below: None) -> int:
-        return 0 if self.resulting_rank == 0 else 1
+    bound_rule = FreeLeaf.bound_rule  # rank is the rank of that free group
 
 
 class FreeSplit(_Node):
@@ -126,9 +124,28 @@ class FreeSplit(_Node):
 
 class HnnStep(_Node):
     """HNN extension over the child group, from a zero-exponent-sum
-    stable letter."""
+    stable letter.
 
-    __slots__ = ("presentation", "rewrite", "child", "bound")
+    The child presentation's generators are fresh generators base@i, and
+    rewritten is its relator.  renaming holds one RenameEntry per child
+    generator, in the child's generator order: by the base's declaration
+    index, then by subscript.  The rows are the only record of which
+    conjugate a child generator stands for.  min/max_subscript range over
+    the family of base, the generator of the first rewritten letter,
+    which measures the span of conjugates the HNN extension glues along.
+    """
+
+    __slots__ = (
+        "presentation",
+        "stable",
+        "base",
+        "rewritten",
+        "min_subscript",
+        "max_subscript",
+        "renaming",
+        "child",
+        "bound",
+    )
     kind = "case1_hnn"
 
     def bound_rule(self, below: int) -> int:
@@ -136,9 +153,28 @@ class HnnStep(_Node):
 
 
 class EmbedStep(_Node):
-    """Embedding into the group decomposed by the child chain."""
+    """Embedding into the group decomposed by the child chain, by the
+    substitution u -> carrier * stable^-beta, v -> stable^alpha, where u
+    and v have exponent sums alpha and beta in the relator.
 
-    __slots__ = ("presentation", "embedding", "child", "bound")
+    image is the cyclically reduced rewritten relator, and the child
+    presentation's relator: the stable letter has exponent sum zero in
+    it and the carrier occurs.  The child's generators are stable,
+    carrier and the generators other than u and v.
+    """
+
+    __slots__ = (
+        "presentation",
+        "u",
+        "v",
+        "alpha",
+        "beta",
+        "stable",
+        "carrier",
+        "image",
+        "child",
+        "bound",
+    )
     kind = "case2_embed"
 
     def bound_rule(self, below: int) -> int:
@@ -235,13 +271,11 @@ def _steps(p: Presentation, reg: Registry, every: bool) -> Iterator[tuple]:
         pivots = [] if t is None else [t]
     if pivots:
         for t in pivots:
-            rw = hnn_rewrite(p, t, reg)
-            yield HnnStep, (rw,), rw.child
+            yield (HnnStep, *hnn_rewrite(p, t, reg))
         return
 
     for u, v in permutations(gens, 2) if every else [choose_embedding_pair(p)]:
-        emb = zero_sum_embedding(p, u, v, reg)
-        yield EmbedStep, (emb,), emb.embedded
+        yield (EmbedStep, *zero_sum_embedding(p, u, v, reg))
 
 
 def _build(p: Presentation, reg: Registry) -> Node:

@@ -140,8 +140,8 @@ def _verify_single_elim(node: SingleElim, r: Word, flag) -> None:
     n = occurrence_count(r, node.eliminated)
     if n != 1:
         flag("occurrence", f"{node.eliminated.name} occurs {n} times, need exactly 1")
-    if node.resulting_rank != len(gens) - 1:
-        flag("rank", f"stored {node.resulting_rank}, expected {len(gens) - 1}")
+    if node.rank != len(gens) - 1:
+        flag("rank", f"stored {node.rank}, expected {len(gens) - 1}")
 
 
 def _verify_free_split(node: FreeSplit, r: Word, flag) -> None:
@@ -166,8 +166,7 @@ def _verify_free_split(node: FreeSplit, r: Word, flag) -> None:
 
 
 def _verify_hnn(node: HnnStep, r: Word, flag) -> None:
-    rw = node.rewrite
-    t = rw.stable
+    t = node.stable
     child_p = node.child.presentation
     s = child_p.relator
 
@@ -178,7 +177,7 @@ def _verify_hnn(node: HnnStep, r: Word, flag) -> None:
     if occurrence_count(r, t) < 2:
         flag("stable occurrences", f"{t.name} occurs {occurrence_count(r, t)} times")
 
-    entries = rw.renaming
+    entries = node.renaming
     fresh = {e.fresh for e in entries}
     if fresh != set(child_p.generators):
         flag("renaming", "renamed generators do not match the child generators")
@@ -220,7 +219,7 @@ def _verify_hnn(node: HnnStep, r: Word, flag) -> None:
         if not same:
             flag("expansion", "expanded child relator differs from the parent relator")
 
-    if rw.rewritten.letters != s.letters:
+    if node.rewritten.letters != s.letters:
         flag("rewritten word", "does not match the child relator")
 
     if len(s) > len(r) - 2:
@@ -228,21 +227,22 @@ def _verify_hnn(node: HnnStep, r: Word, flag) -> None:
 
     present = letters_of(child_p)
     family = [
-        e.subscript for e in entries if e.base == rw.base and e.fresh in present
+        e.subscript for e in entries if e.base == node.base and e.fresh in present
     ]
     if not family:
-        flag("pivot family", f"no occurring conjugate of {rw.base.name}")
+        flag("pivot family", f"no occurring conjugate of {node.base.name}")
     else:
-        if rw.min_subscript != min(family):
-            flag("min subscript", f"stored {rw.min_subscript}, expected {min(family)}")
-        if rw.max_subscript != max(family):
-            flag("max subscript", f"stored {rw.max_subscript}, expected {max(family)}")
+        lo, hi = min(family), max(family)
+        if node.min_subscript != lo:
+            flag("min subscript", f"stored {node.min_subscript}, expected {lo}")
+        if node.max_subscript != hi:
+            flag("max subscript", f"stored {node.max_subscript}, expected {hi}")
 
 
 def _verify_embed(node: EmbedStep, r: Word, flag) -> None:
     p = node.presentation
-    emb = node.embedding
-    u, v = emb.u, emb.v
+    u, v = node.u, node.v
+    stable, carrier, image = node.stable, node.carrier, node.image
 
     if u == v:
         flag("pair", "u and v are the same generator")
@@ -253,37 +253,37 @@ def _verify_embed(node: EmbedStep, r: Word, flag) -> None:
 
     alpha = exponent_sum(r, u)
     beta = exponent_sum(r, v)
-    if emb.alpha != alpha or alpha == 0:
-        flag("alpha", f"stored {emb.alpha}, relator gives {alpha}")
-    if emb.beta != beta or beta == 0:
-        flag("beta", f"stored {emb.beta}, relator gives {beta}")
+    if node.alpha != alpha or alpha == 0:
+        flag("alpha", f"stored {node.alpha}, relator gives {alpha}")
+    if node.beta != beta or beta == 0:
+        flag("beta", f"stored {node.beta}, relator gives {beta}")
 
     images = {g: single(g) for g in p.generators}
-    images[u] = concat(single(emb.carrier), generator_power(emb.stable, -beta))
-    images[v] = generator_power(emb.stable, alpha)
+    images[u] = concat(single(carrier), generator_power(stable, -beta))
+    images[v] = generator_power(stable, alpha)
     recomputed = substitute(r, images)
-    if not equal_as_cyclic_words(emb.image, recomputed):
+    if not equal_as_cyclic_words(image, recomputed):
         flag("image", "stored image is not the rewritten relator")
 
     retained = [g for g in p.generators if g not in (u, v)]
-    if emb.stable == emb.carrier:
+    if stable == carrier:
         flag("fresh letters", "stable and carrier are the same generator")
-    for g, label in ((emb.stable, "stable"), (emb.carrier, "carrier")):
+    for g, label in ((stable, "stable"), (carrier, "carrier")):
         if g in retained:
             flag("fresh letters", f"{label} {g.name} is a retained parent generator")
 
-    if exponent_sum(emb.image, emb.stable) != 0:
+    if exponent_sum(image, stable) != 0:
         flag(
             "image exponent",
-            f"stable letter has exponent sum {exponent_sum(emb.image, emb.stable)}",
+            f"stable letter has exponent sum {exponent_sum(image, stable)}",
         )
-    if occurrence_count(emb.image, emb.carrier) < 1:
+    if occurrence_count(image, carrier) < 1:
         flag("image carrier", "carrier letter does not occur in the image")
 
     inner_p = node.child.presentation
-    if inner_p.relator.letters != emb.image.letters:
+    if inner_p.relator.letters != image.letters:
         flag("inner relator", "differs from the stored image")
-    expected_gens = {emb.stable, emb.carrier} | set(retained)
+    expected_gens = {stable, carrier} | set(retained)
     if set(inner_p.generators) != expected_gens:
         flag("inner generators", "do not match the embedding construction")
     if len(inner_p.generators) != len(p.generators):

@@ -113,7 +113,7 @@ def naive_bound(root) -> int:
         elif kind == "CyclicLeaf":
             bound = 0
         elif kind == "SingleElim":
-            bound = min(node.resulting_rank, 1)
+            bound = min(node.rank, 1)
         elif kind == "FreeSplit":
             bound = max(bound, 1) if node.split_off_rank else bound
         elif kind == "HnnStep":

@@ -10,8 +10,10 @@ from __future__ import annotations
 from random import Random
 
 from asdim import (
+    CyclicLeaf,
     EmbedStep,
     FreeLeaf,
+    FreeSplit,
     HnnStep,
     Letter,
     Presentation,
@@ -130,7 +132,7 @@ def test_baumslag_solitar_family():
             root = build_tower(p, reg)
             assert isinstance(root, HnnStep), text
             expected_pivot = "a" if m == n else "t"
-            assert root.rewrite.stable.name == expected_pivot, text
+            assert root.stable.name == expected_pivot, text
             assert root.bound <= ceil_half(m + n + 2), text
             assert verify_certificate(root).ok, text
     _passed("Baumslag-Solitar family m, n in 1..4: HNN root, bound holds")
@@ -166,18 +168,18 @@ def test_hnn_expansion_identity_random_pairs():
             occ = occurrence_count(r, g)
             if occ < 2 or occ == len(r) or exponent_sum(r, g) != 0:
                 continue
-            rw = hnn_rewrite(p, g, reg)
-            rows = {e.fresh: e for e in rw.renaming}
+            (t, _, s, _, _, renaming), _ = hnn_rewrite(p, g, reg)
+            rows = {e.fresh: e for e in renaming}
             parts = [
                 concat(
-                    generator_power(rw.stable, rows[l.gen].subscript),
+                    generator_power(t, rows[l.gen].subscript),
                     single(rows[l.gen].base, l.sign),
-                    generator_power(rw.stable, -rows[l.gen].subscript),
+                    generator_power(t, -rows[l.gen].subscript),
                 )
-                for l in rw.rewritten
+                for l in s
             ]
             assert reduce_word(concat(*parts)).letters == r.letters
-            assert len(rw.rewritten) <= len(r) - 2
+            assert len(s) <= len(r) - 2
             pairs += 1
             if pairs == 1_000:
                 break
@@ -185,101 +187,89 @@ def test_hnn_expansion_identity_random_pairs():
 
 
 def _tamper_cases():
-    """One mutant per recorded field per node kind.  Every mutant must
-    be rejected by the verifier."""
+    """One mutant per recorded field per node kind, as (label, honest
+    node, mutant).  Every mutant must be rejected by the verifier."""
     cases = []
 
-    def add(label, node):
-        cases.append((label, node))
+    def add(label, honest, node):
+        cases.append((label, honest, node))
 
     def pres(node, text, reg):
         return node._replace(presentation=parse_presentation(text, reg))
 
     reg = Registry()
     free = build_tower(parse_presentation("< a, b | 1 >", reg), reg)
-    add("free_leaf bound", free._replace(bound=free.bound + 1))
-    add("free_leaf rank", free._replace(rank=free.rank + 1))
-    add("free_leaf presentation", pres(free, "< a, b | a >", Registry()))
+    add("free_leaf bound", free, free._replace(bound=free.bound + 1))
+    add("free_leaf rank", free, free._replace(rank=free.rank + 1))
+    add("free_leaf presentation", free, pres(free, "< a, b | a >", Registry()))
 
     reg = Registry()
     cyclic = build_tower(parse_presentation("< a | a^4 >", reg), reg)
-    add("cyclic_leaf bound", cyclic._replace(bound=1))
-    add("cyclic_leaf order", cyclic._replace(order=cyclic.order + 1))
-    add("cyclic_leaf presentation", pres(cyclic, "< a | a^5 >", Registry()))
+    add("cyclic_leaf bound", cyclic, cyclic._replace(bound=1))
+    add("cyclic_leaf order", cyclic, cyclic._replace(order=cyclic.order + 1))
+    add("cyclic_leaf presentation", cyclic, pres(cyclic, "< a | a^5 >", Registry()))
 
     reg = Registry()
     elim = build_tower(parse_presentation("< a, b | b a b >", reg), reg)
-    add("single_elim bound", elim._replace(bound=elim.bound + 1))
-    add(
-        "single_elim rank",
-        elim._replace(resulting_rank=elim.resulting_rank + 1),
-    )
+    add("single_elim bound", elim, elim._replace(bound=elim.bound + 1))
+    add("single_elim rank", elim, elim._replace(rank=elim.rank + 1))
     add(
         "single_elim eliminated",
+        elim,
         elim._replace(eliminated=elim.presentation.generators[1]),
     )
     foreign = Registry().declare("z")
-    add("single_elim foreign", elim._replace(eliminated=foreign))
-    add("single_elim presentation", pres(elim, "< a, b | b a b a >", Registry()))
+    add("single_elim foreign", elim, elim._replace(eliminated=foreign))
+    add(
+        "single_elim presentation",
+        elim,
+        pres(elim, "< a, b | b a b a >", Registry()),
+    )
 
     reg = Registry()
     split = build_tower(parse_presentation("< a, b | a^3 >", reg), reg)
-    add("free_split bound", split._replace(bound=split.bound + 1))
+    add("free_split bound", split, split._replace(bound=split.bound + 1))
     add(
         "free_split rank",
+        split,
         split._replace(split_off_rank=split.split_off_rank + 1),
     )
-    add("free_split presentation", pres(split, "< a, b | a^2 b >", Registry()))
+    add("free_split presentation", split, pres(split, "< a, b | a^2 b >", Registry()))
     bad_child = split.child._replace(
         presentation=Presentation(
             split.child.presentation.generators,
             Word(split.child.presentation.relator.letters[:-1]),
         ),
     )
-    add("free_split child relator", split._replace(child=bad_child))
+    add("free_split child relator", split, split._replace(child=bad_child))
 
     reg = Registry()
     hnn = build_tower(parse_presentation("< a, b | a b a^-1 b^-1 >", reg), reg)
-    rw = hnn.rewrite
-    add("case1_hnn bound", hnn._replace(bound=hnn.bound + 1))
-    add(
-        "case1_hnn stable",
-        hnn._replace(rewrite=rw._replace(stable=rw.base)),
-    )
-    add(
-        "case1_hnn base",
-        hnn._replace(rewrite=rw._replace(base=rw.stable)),
-    )
+    add("case1_hnn bound", hnn, hnn._replace(bound=hnn.bound + 1))
+    add("case1_hnn stable", hnn, hnn._replace(stable=hnn.base))
+    add("case1_hnn base", hnn, hnn._replace(base=hnn.stable))
     add(
         "case1_hnn rewritten",
-        hnn._replace(
-            rewrite=rw._replace(rewritten=Word(rw.rewritten.letters[1:], reduced=True)),
-        ),
+        hnn,
+        hnn._replace(rewritten=Word(hnn.rewritten.letters[1:], reduced=True)),
     )
     add(
         "case1_hnn min_subscript",
-        hnn._replace(rewrite=rw._replace(min_subscript=rw.min_subscript - 1)),
+        hnn,
+        hnn._replace(min_subscript=hnn.min_subscript - 1),
     )
     add(
         "case1_hnn max_subscript",
-        hnn._replace(rewrite=rw._replace(max_subscript=rw.max_subscript + 1)),
+        hnn,
+        hnn._replace(max_subscript=hnn.max_subscript + 1),
     )
     shifted = (
-        rw.renaming[0],
-        rw.renaming[1]._replace(subscript=rw.renaming[1].subscript + 1),
+        hnn.renaming[0],
+        hnn.renaming[1]._replace(subscript=hnn.renaming[1].subscript + 1),
     )
-    add(
-        "case1_hnn renaming subscript",
-        hnn._replace(rewrite=rw._replace(renaming=shifted)),
-    )
-    swapped = (
-        rw.renaming[0]._replace(base=rw.stable),
-        rw.renaming[1],
-    )
-    add(
-        "case1_hnn renaming base",
-        hnn._replace(rewrite=rw._replace(renaming=swapped)),
-    )
+    add("case1_hnn renaming subscript", hnn, hnn._replace(renaming=shifted))
+    swapped = (hnn.renaming[0]._replace(base=hnn.stable), hnn.renaming[1])
+    add("case1_hnn renaming base", hnn, hnn._replace(renaming=swapped))
     hnn_bad_child = hnn.child._replace(
         presentation=Presentation(
             hnn.child.presentation.generators,
@@ -291,54 +281,42 @@ def _tamper_cases():
             ),
         ),
     )
-    add("case1_hnn child relator", hnn._replace(child=hnn_bad_child))
+    add("case1_hnn child relator", hnn, hnn._replace(child=hnn_bad_child))
     add(
         "case1_hnn presentation",
+        hnn,
         pres(hnn, "< a, b | a b a^-1 b >", Registry()),
     )
 
     reg = Registry()
-    emb_node = build_tower(parse_presentation("< u, v | u^2 v^3 >", reg), reg)
-    emb = emb_node.embedding
-    add("case2_embed bound", emb_node._replace(bound=emb_node.bound + 1))
-    add(
-        "case2_embed u",
-        emb_node._replace(embedding=emb._replace(u=emb.v)),
-    )
-    add(
-        "case2_embed v",
-        emb_node._replace(embedding=emb._replace(v=emb.u)),
-    )
-    add(
-        "case2_embed alpha",
-        emb_node._replace(embedding=emb._replace(alpha=emb.alpha + 1)),
-    )
-    add(
-        "case2_embed beta",
-        emb_node._replace(embedding=emb._replace(beta=emb.beta - 1)),
-    )
+    emb = build_tower(parse_presentation("< u, v | u^2 v^3 >", reg), reg)
+    add("case2_embed bound", emb, emb._replace(bound=emb.bound + 1))
+    add("case2_embed u", emb, emb._replace(u=emb.v))
+    add("case2_embed v", emb, emb._replace(v=emb.u))
+    add("case2_embed alpha", emb, emb._replace(alpha=emb.alpha + 1))
+    add("case2_embed beta", emb, emb._replace(beta=emb.beta - 1))
     add(
         "case2_embed stable",
-        emb_node._replace(
-            embedding=emb._replace(stable=emb.carrier, carrier=emb.stable),
-        ),
+        emb,
+        emb._replace(stable=emb.carrier, carrier=emb.stable),
     )
+    add("case2_embed carrier", emb, emb._replace(carrier=Registry().declare("c")))
     add(
         "case2_embed image",
-        emb_node._replace(
-            embedding=emb._replace(image=Word(emb.image.letters[1:], reduced=True)),
-        ),
+        emb,
+        emb._replace(image=Word(emb.image.letters[1:], reduced=True)),
     )
-    inner_bad = emb_node.child._replace(
+    inner_bad = emb.child._replace(
         presentation=Presentation(
-            emb_node.child.presentation.generators,
-            Word(emb_node.child.presentation.relator.letters[:-1]),
+            emb.child.presentation.generators,
+            Word(emb.child.presentation.relator.letters[:-1]),
         ),
     )
-    add("case2_embed inner relator", emb_node._replace(child=inner_bad))
+    add("case2_embed inner relator", emb, emb._replace(child=inner_bad))
     add(
         "case2_embed presentation",
-        pres(emb_node, "< u, v | u^2 v^2 >", Registry()),
+        emb,
+        pres(emb, "< u, v | u^2 v^2 >", Registry()),
     )
     return cases
 
@@ -348,10 +326,29 @@ def test_tamper_suite_every_field_mutation_is_rejected():
     field per node kind, are all rejected."""
     cases = _tamper_cases()
     undetected = [
-        label for label, node in cases if verify_certificate(node).ok
+        label for label, _, node in cases if verify_certificate(node).ok
     ]
     assert undetected == []
     _passed(f"tamper suite: {len(cases)} single-field corruptions all rejected")
+
+
+def test_tamper_suite_changes_every_field_of_every_kind():
+    """For every node kind, the tamper cases between them change each of
+    the kind's fields except child, which is a node of its own kind."""
+    changed = {}
+    for _, honest, node in _tamper_cases():
+        fields = changed.setdefault(type(node), set())
+        for name in type(node).__slots__:
+            if getattr(node, name) != getattr(honest, name):
+                fields.add(name)
+    kinds = {FreeLeaf, CyclicLeaf, SingleElim, FreeSplit, HnnStep, EmbedStep}
+    assert set(changed) == kinds
+    missed = {
+        cls.kind: sorted(set(cls.__slots__) - {"child"} - fields)
+        for cls, fields in changed.items()
+    }
+    assert missed == {cls.kind: [] for cls in kinds}
+    _passed("tamper suite: every field of every kind but child is changed")
 
 
 def test_reduction_agrees_with_naive_oracle():

@@ -14,20 +14,24 @@ from hypothesis import strategies as st
 from asdim import (
     EMPTY_WORD,
     CertificateError,
+    EmbedStep,
     FreeLeaf,
     FreeSplit,
+    Generator,
     HnnStep,
     Presentation,
     Registry,
+    Word,
     build_tower,
     emit_certificate,
+    format_presentation,
+    format_word,
     parse_certificate,
     parse_presentation,
     render_tree,
     verify_certificate,
     walk,
 )
-from asdim import certio
 from asdim.sampling import random_cyclically_reduced_word
 
 EXAMPLES = (
@@ -79,14 +83,55 @@ class TestEmit:
         assert root_keys[:3] == ["kind", "presentation", "bound"]
 
 
+# Each kind's own v1 keys in document order, after kind, presentation and
+# bound, and the key of the next node's object.  Each key names the node
+# field it holds.
+V1_KEYS = {
+    "free_leaf": ("rank",),
+    "cyclic_leaf": ("order",),
+    "single_elim": ("eliminated", "rank"),
+    "free_split": ("split_off_rank",),
+    "case1_hnn": (
+        "stable",
+        "base",
+        "rewritten",
+        "min_subscript",
+        "max_subscript",
+        "renaming",
+    ),
+    "case2_embed": ("u", "v", "alpha", "beta", "stable", "carrier", "image"),
+}
+V1_LINK = {"free_split": "child", "case1_hnn": "child", "case2_embed": "inner"}
+
+
+def v1_value(value):
+    """A node field as v1 writes it: integers as they are, a generator by
+    its name, a word as text, renaming rows as [fresh, base, subscript]."""
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Generator):
+        return value.name
+    if isinstance(value, Word):
+        return format_word(value)
+    return [[e.fresh.name, e.base.name, e.subscript] for e in value]
+
+
 def nested_v1(root):
     """The v1 document as nested objects, one per node, each holding the
     next under its link key: what json.dumps(indent=2) is given."""
     nodes = list(walk(root))
-    objects = [certio._fields(node) for node in nodes]
+    objects = [
+        {
+            "kind": node.kind,
+            "presentation": format_presentation(node.presentation),
+            "bound": node.bound,
+            **{key: v1_value(getattr(node, key)) for key in V1_KEYS[node.kind]},
+        }
+        for node in nodes
+    ]
     for node, obj, below in zip(nodes, objects, objects[1:]):
-        obj[certio._KINDS[type(node)].link] = below
-    return {"schema_version": certio.SCHEMA_VERSION, "root": objects[0]}
+        obj[V1_LINK[node.kind]] = below
+    return {"schema_version": 1, "root": objects[0]}
 
 
 # Names the parser never makes, so that string escaping is exercised.
@@ -112,8 +157,7 @@ def chains(draw):
     if draw(st.booleans()):
         hnn = next((n for n in walk(root) if isinstance(n, HnnStep)), None)
         if hnn is not None:
-            rewrite = hnn.rewrite._replace(renaming=())
-            root = hnn._replace(rewrite=rewrite)
+            root = hnn._replace(renaming=())
     return root
 
 
@@ -125,7 +169,7 @@ class TestEmitMatchesJson:
 
     def test_empty_renaming_is_an_empty_list(self):
         root = build("< a, b | a b a^-1 b^-1 >")
-        root = root._replace(rewrite=root.rewrite._replace(renaming=()))
+        root = root._replace(renaming=())
         assert '"renaming": [],' in emit_certificate(root)
 
     def test_chain_of_1200_free_splits(self):
@@ -145,6 +189,33 @@ class TestEmitMatchesJson:
         assert doc == expected
         with pytest.raises(CertificateError, match="document nested too deeply"):
             parse_certificate(doc)
+
+
+def holds_presentation(value):
+    if isinstance(value, tuple):
+        return any(holds_presentation(item) for item in value)
+    return isinstance(value, Presentation)
+
+
+class TestEachPresentationHeldOnce:
+    """A built node holds its own presentation, and the next one only
+    through its child."""
+
+    @pytest.mark.parametrize("text", EXAMPLES)
+    def test_no_other_field_holds_a_presentation(self, text):
+        for node in walk(build(text)):
+            holders = [
+                f for f in type(node).__slots__ if holds_presentation(getattr(node, f))
+            ]
+            assert holders == ["presentation"]
+
+    @pytest.mark.parametrize("text", EXAMPLES)
+    def test_rewritten_and_image_are_the_child_relator(self, text):
+        for node in walk(build(text)):
+            if isinstance(node, HnnStep):
+                assert node.rewritten is node.child.presentation.relator
+            elif isinstance(node, EmbedStep):
+                assert node.image is node.child.presentation.relator
 
 
 class TestRoundTrip:

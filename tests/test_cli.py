@@ -210,6 +210,19 @@ class TestBatch:
         assert all(row["verified"] for row in rows)
         assert all(row["tower_bound"] <= row["length_bound"] for row in rows)
 
+    @pytest.mark.parametrize("gens", ["0", "27", "30"])
+    def test_random_generator_count_out_of_range_rejected(self, gens, capsys):
+        assert main(["batch", "--random", "2", "4", gens]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "--random needs COUNT >= 0, MAXLEN >= 1, 1 <= GENS <= 26\n"
+        )
+
+    def test_random_with_26_generators(self, capsys):
+        assert main(["batch", "--random", "2", "4", "26", "--json"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
     def test_file_and_random_together_rejected(self, tmp_path, capsys):
         f = tmp_path / "x.txt"
         f.write_text("< a | a^2 >\n")

@@ -38,17 +38,15 @@ def atoms(root):
         if isinstance(node, SingleElim):
             yield node.eliminated
         elif isinstance(node, HnnStep):
-            rw = node.rewrite
-            yield rw.stable
-            yield rw.base
-            for e in rw.renaming:
+            yield node.stable
+            yield node.base
+            for e in node.renaming:
                 yield e.fresh
                 yield e.base
-            yield from (l.gen for l in rw.rewritten)
+            yield from (l.gen for l in node.rewritten)
         elif isinstance(node, EmbedStep):
-            emb = node.embedding
-            yield from (emb.u, emb.v, emb.stable, emb.carrier)
-            yield from (l.gen for l in emb.image)
+            yield from (node.u, node.v, node.stable, node.carrier)
+            yield from (l.gen for l in node.image)
 
 
 def shared_names(root) -> list[str]:

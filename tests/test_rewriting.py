@@ -4,12 +4,15 @@ randomized structural properties."""
 from __future__ import annotations
 
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asdim import (
+    EmbedStep,
+    HnnStep,
     Registry,
     choose_embedding_pair,
     concat,
@@ -34,6 +37,21 @@ from oracles import naive_embedding_pair
 
 def names(word):
     return tuple((l.gen.name, l.sign) for l in word.letters)
+
+
+def outcome(cls, fields, child):
+    """A step function's fields by the slot names of the node class they
+    fill, in slot order, with the next presentation as child."""
+    slots = [f for f in cls.__slots__ if f not in ("presentation", "child", "bound")]
+    return SimpleNamespace(**dict(zip(slots, fields, strict=True)), child=child)
+
+
+def hnn(p, t, reg):
+    return outcome(HnnStep, *hnn_rewrite(p, t, reg))
+
+
+def embed(p, u, v, reg):
+    return outcome(EmbedStep, *zero_sum_embedding(p, u, v, reg))
 
 
 def expand_rewritten(rw):
@@ -102,7 +120,7 @@ class TestHnnRewrite:
         reg = Registry()
         p = parse_presentation("< t, b | t b t^-1 b^-1 >", reg)
         t = p.generators[0]
-        rw = hnn_rewrite(p, t, reg)
+        rw = hnn(p, t, reg)
         assert rw.stable == t
         assert rw.base.name == "b"
         assert names(rw.rewritten) == (("b@1", 1), ("b@0", -1))
@@ -116,27 +134,27 @@ class TestHnnRewrite:
     def test_negative_subscripts(self):
         reg = Registry()
         p = parse_presentation("< t, b | b t^-3 b t^3 >", reg)
-        rw = hnn_rewrite(p, p.generators[0], reg)
+        rw = hnn(p, p.generators[0], reg)
         assert names(rw.rewritten) == (("b@0", 1), ("b@-3", 1))
         assert (rw.min_subscript, rw.max_subscript) == (-3, 0)
 
     def test_stacked_stable_letters(self):
         reg = Registry()
         p = parse_presentation("< t, b | t t b t^-1 t^-1 b >", reg)
-        rw = hnn_rewrite(p, p.generators[0], reg)
+        rw = hnn(p, p.generators[0], reg)
         assert names(rw.rewritten) == (("b@2", 1), ("b@0", 1))
         assert (rw.min_subscript, rw.max_subscript) == (0, 2)
 
     def test_pivot_base_is_first_emitted(self):
         reg = Registry()
         p = parse_presentation("< t, b, c | c t b t^-1 b^-1 c >", reg)
-        rw = hnn_rewrite(p, p.generators[0], reg)
+        rw = hnn(p, p.generators[0], reg)
         assert rw.base.name == "c"
 
     def test_repeated_conjugate_is_one_atom(self):
         reg = Registry()
         p = parse_presentation("< a, t | t a t^-1 a^-1 t a t^-1 a^-1 >", reg)
-        rw = hnn_rewrite(p, p.generators[1], reg)
+        rw = hnn(p, p.generators[1], reg)
         assert names(rw.rewritten) == (("a@1", 1), ("a@0", -1)) * 2
         assert rw.rewritten is rw.child.relator
         ls = rw.rewritten.letters
@@ -148,13 +166,13 @@ class TestHnnRewrite:
     def test_length_drops_by_stable_occurrences(self):
         reg = Registry()
         p = parse_presentation("< t, b | t b t^-1 b^-1 >", reg)
-        rw = hnn_rewrite(p, p.generators[0], reg)
+        rw = hnn(p, p.generators[0], reg)
         assert len(rw.rewritten) == len(p.relator) - 2
 
     def test_expansion_identity_frozen(self):
         reg = Registry()
         p = parse_presentation("< t, b | t t b t^-1 t^-1 b >", reg)
-        rw = hnn_rewrite(p, p.generators[0], reg)
+        rw = hnn(p, p.generators[0], reg)
         assert expand_rewritten(rw).letters == p.relator.letters
 
     def test_nonzero_sum_rejected(self):
@@ -172,7 +190,7 @@ class TestHnnRewrite:
     def test_child_generators_ordered_by_parent_then_subscript(self):
         reg = Registry()
         p = parse_presentation("< t, b, c | t b c t^-1 b^-1 c^-1 >", reg)
-        rw = hnn_rewrite(p, p.generators[0], reg)
+        rw = hnn(p, p.generators[0], reg)
         assert [g.name for g in rw.child.generators] == [
             "b@0",
             "b@1",
@@ -241,13 +259,13 @@ class TestZeroSumEmbedding:
         reg = Registry()
         p = parse_presentation("< u, v | u^2 v^3 >", reg)
         u, v = p.generators
-        emb = zero_sum_embedding(p, u, v, reg)
+        emb = embed(p, u, v, reg)
         assert (emb.alpha, emb.beta) == (2, 3)
         assert (emb.stable.name, emb.carrier.name) == ("t#1", "b#1")
         assert format_word(emb.image) == "b#1 t#1^-3 b#1 t#1^3"
         assert exponent_sum(emb.image, emb.stable) == 0
         assert occurrence_count(emb.image, emb.carrier) == 2
-        assert format_presentation(emb.embedded) == (
+        assert format_presentation(emb.child) == (
             "< t#1, b#1 | b#1 t#1^-3 b#1 t#1^3 >"
         )
 
@@ -255,7 +273,7 @@ class TestZeroSumEmbedding:
         reg = Registry()
         p = parse_presentation("< u, v | u v u v >", reg)
         u, v = p.generators
-        emb = zero_sum_embedding(p, u, v, reg)
+        emb = embed(p, u, v, reg)
         assert format_word(emb.image) == "b#1^2"
         assert occurrence_count(emb.image, emb.stable) == 0
 
@@ -263,8 +281,8 @@ class TestZeroSumEmbedding:
         reg = Registry()
         p = parse_presentation("< u, v, c | u v c u v c >", reg)
         u, v = choose_embedding_pair(p)
-        emb = zero_sum_embedding(p, u, v, reg)
-        assert [g.name for g in emb.embedded.generators] == ["t#1", "b#1", "c"]
+        emb = embed(p, u, v, reg)
+        assert [g.name for g in emb.child.generators] == ["t#1", "b#1", "c"]
         assert occurrence_count(emb.image, p.generators[2]) == 2
 
     def test_same_generator_rejected(self):
@@ -298,7 +316,7 @@ class TestRandomizedProperties:
             return
         if occurrence_count(p.relator, pivot) == len(p.relator):
             return
-        rw = hnn_rewrite(p, pivot, reg)
+        rw = hnn(p, pivot, reg)
         assert expand_rewritten(rw).letters == p.relator.letters
         assert len(rw.rewritten) <= len(p.relator) - 2
         assert names(rw.rewritten) == tuple(
@@ -317,7 +335,7 @@ class TestRandomizedProperties:
         if any(exponent_sum(p.relator, g) == 0 for g in occurring):
             return
         u, v = choose_embedding_pair(p)
-        emb = zero_sum_embedding(p, u, v, reg)
+        emb = embed(p, u, v, reg)
         assert exponent_sum(emb.image, emb.stable) == 0
         assert occurrence_count(emb.image, emb.carrier) == occurrence_count(
             p.relator, u
@@ -338,7 +356,7 @@ class TestRandomizedProperties:
         if any(exponent_sum(p.relator, g) == 0 for g in occurring):
             return
         u, v = choose_embedding_pair(p)
-        emb = zero_sum_embedding(p, u, v, reg)
+        emb = embed(p, u, v, reg)
         images = {g: single(g) for g in p.generators}
         images[u] = concat(single(emb.carrier), generator_power(emb.stable, -emb.beta))
         images[v] = generator_power(emb.stable, emb.alpha)

@@ -123,7 +123,7 @@ class TestGuardOrder:
         root = build("< a, b | b a b >")
         assert isinstance(root, SingleElim)
         assert root.eliminated.name == "a"
-        assert root.resulting_rank == 1
+        assert root.rank == 1
         assert root.bound == 1
 
     def test_single_generator_power_is_cyclic(self):
@@ -139,12 +139,12 @@ class TestGuardOrder:
     def test_zero_sum_pivot_goes_hnn(self):
         root = build("< a, b | a b a^-1 b^-1 >")
         assert isinstance(root, HnnStep)
-        assert root.rewrite.stable.name == "a"
+        assert root.stable.name == "a"
 
     def test_all_nonzero_goes_embedding(self):
         root = build("< u, v | u^2 v^3 >")
         assert isinstance(root, EmbedStep)
-        assert (root.embedding.u.name, root.embedding.v.name) == ("u", "v")
+        assert (root.u.name, root.v.name) == ("u", "v")
 
 
 class TestFrozenChains:
@@ -163,10 +163,10 @@ class TestFrozenChains:
         rep = summarize(root)
         assert (rep.length_bound, rep.tower_bound) == (3, 2)
         hnn = root.child
-        assert (hnn.rewrite.min_subscript, hnn.rewrite.max_subscript) == (-3, 0)
+        assert (hnn.min_subscript, hnn.max_subscript) == (-3, 0)
         elim = hnn.child
         assert elim.eliminated.name == "b#1@-3"
-        assert elim.resulting_rank == 1
+        assert elim.rank == 1
 
     def test_power_relator_chain(self):
         root = build("< a, b | a^3 >")
@@ -185,12 +185,12 @@ class TestFrozenChains:
         rep = summarize(root)
         assert rep.length_bound == 4
         assert rep.tower_bound == 2
-        assert root.child.resulting_rank == 3
+        assert root.child.rank == 3
 
     def test_baumslag_solitar_chain(self):
         root = build("< a, t | t a t^-1 a^-2 >")
         assert isinstance(root, HnnStep)
-        assert root.rewrite.stable.name == "t"
+        assert root.stable.name == "t"
         assert chain_kinds(root) == ["HnnStep", "SingleElim"]
         assert root.bound == 2
 
@@ -321,7 +321,7 @@ class TestAlternatives:
         p = parse_presentation("< a, b | a b a^-1 b^-1 >", reg)
         towers = list(all_towers(p, reg))
         assert len(towers) == 2
-        assert {t.rewrite.stable.name for t in towers} == {"a", "b"}
+        assert {t.stable.name for t in towers} == {"a", "b"}
         assert {t.bound for t in towers} == {2}
 
     def test_all_towers_forced_guard_is_singleton(self):

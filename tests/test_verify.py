@@ -76,19 +76,26 @@ class TestTamperDetection:
 
     def test_dropped_rewritten_letter_is_caught(self):
         root = build("< a, b | a b a^-1 b^-1 >")
-        rw = root.rewrite
-        shorter = Word(rw.rewritten.letters[1:], reduced=True)
-        bad = root._replace(rewrite=rw._replace(rewritten=shorter))
+        shorter = Word(root.rewritten.letters[1:], reduced=True)
+        bad = root._replace(rewritten=shorter)
         report = verify_certificate(bad)
         assert not report.ok
 
     def test_swapped_pair_is_caught(self):
         root = build("< u, v | u^2 v^3 >")
-        emb = root.embedding
-        bad = root._replace(embedding=emb._replace(alpha=emb.alpha + 1))
+        bad = root._replace(alpha=root.alpha + 1)
         report = verify_certificate(bad)
         assert not report.ok
         assert any(v.check == "alpha" for v in report.violations)
+
+    def test_carrier_alone_replaced_is_caught(self):
+        root = build("< u, v | u^2 v^3 >")
+        report = verify_certificate(root._replace(carrier=Registry().declare("c")))
+        assert [v.check for v in report.violations] == [
+            "image",
+            "image carrier",
+            "inner generators",
+        ]
 
     def test_violation_reports_are_printable(self):
         root = build("< a, b | a b a^-1 b^-1 >")
@@ -198,8 +205,7 @@ class TestPreconditions:
 
     def test_embedding_stable_equal_to_carrier_is_rejected(self):
         root = build("< u, v | u^2 v^3 >")
-        emb = root.embedding._replace(carrier=root.embedding.stable)
-        report = verify_certificate(root._replace(embedding=emb))
+        report = verify_certificate(root._replace(carrier=root.stable))
         assert any(
             (v.check, v.detail)
             == ("fresh letters", "stable and carrier are the same generator")
@@ -327,19 +333,17 @@ class TestHnnExpansionOracle:
         nodes = hnn_nodes(seed, max_len)
         assume(nodes)
         node = nodes[j % len(nodes)]
-        rw = node.rewrite
-        n = len(rw.renaming)
+        n = len(node.renaming)
         j, k = j % n, k % n
         if how in ("swap", "duplicate"):
             assume(j != k)
         if how is not None:
-            rw = rw._replace(renaming=mutate(rw.renaming, how, j, k))
-            node = node._replace(rewrite=rw)
+            node = node._replace(renaming=mutate(node.renaming, how, j, k))
         expected = naive_hnn_expansion(
             node.presentation.relator,
             node.child.presentation.relator,
-            rw.renaming,
-            rw.stable,
+            node.renaming,
+            node.stable,
         )
         assert expansion_verdict(node) == expected
         if how is None:
