@@ -90,18 +90,10 @@ class _Reader:
         return self.intern(_need(d, key, str))
 
     def word(self, d: dict[str, Any], key: str) -> Word:
-        return parse_word(
-            _need(d, key, str), lambda name, pos: self.intern(name), extended_names=True
-        )
+        return parse_word(_need(d, key, str), lambda name, pos: self.intern(name))
 
     def presentation(self, d: dict[str, Any]) -> Presentation:
-        return parse_presentation(
-            _need(d, "presentation", str),
-            self.registry,
-            allow_empty_generators=True,
-            extended_names=True,
-            declare=self.intern,
-        )
+        return parse_presentation(_need(d, "presentation", str), intern=self.intern)
 
     def renaming(self, d: dict[str, Any], key: str) -> tuple[RenameEntry, ...]:
         entries = []

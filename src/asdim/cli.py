@@ -5,14 +5,15 @@ prints the rendered decomposition chain, `certify` emits the JSON
 certificate and verifies it, `batch` processes one presentation per line
 of a file or a seeded random sweep.
 
-Exit status: 0 on success, 1 on a parse error, 2 on a verification
-failure.
+Exit status: 0 on success, 1 on a parse error, an unreadable input file
+or output closed by its reader, 2 on a verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from random import Random
 from typing import Any, Sequence
@@ -40,6 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser(
         "bound", help="print the relator-length bound and the tower bound"
     )
+    p_bound.set_defaults(run=_cmd_bound)
     p_bound.add_argument("presentation", help='e.g. "< a, b | [a, b] >"')
     p_bound.add_argument("--json", action="store_true", help="structured output")
     p_bound.add_argument(
@@ -49,16 +51,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_tree = sub.add_parser("tree", help="print the decomposition chain")
+    p_tree.set_defaults(run=_cmd_tree)
     p_tree.add_argument("presentation")
 
     p_cert = sub.add_parser(
         "certify", help="emit the certificate document and verify it"
     )
+    p_cert.set_defaults(run=_cmd_certify)
     p_cert.add_argument("presentation")
 
     p_batch = sub.add_parser(
         "batch", help="process one presentation per line of a file, or a random sweep"
     )
+    p_batch.set_defaults(run=_cmd_batch)
     p_batch.add_argument(
         "file", nargs="?", help="input file; blank lines and # comments are skipped"
     )
@@ -78,13 +83,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "bound":
-        return _cmd_bound(args)
-    if args.command == "tree":
-        return _cmd_tree(args)
-    if args.command == "certify":
-        return _cmd_certify(args)
-    return _cmd_batch(args)
+    try:
+        status = args.run(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader stopped early, as head does.  Send what is left of the
+        # output to the null device, so that the exit flush passes too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def _parse_or_complain(text: str, registry: Registry):
@@ -173,7 +180,7 @@ def _batch_inputs(args: argparse.Namespace) -> list[str] | None:
     try:
         with open(args.file, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read {args.file}: {e}", file=sys.stderr)
         return None
     texts = []

@@ -32,7 +32,9 @@ ParseError at the term that takes it past the limit.
 
 Certificates need two relaxations that user input does not get: cores of
 free splits can have an empty generator list, and engine-invented names
-contain "@" and "#" segments.  Both are opt-in keyword flags.
+contain "@" and "#" segments.  parse_presentation allows both when it is
+given the certificate's intern function, and parse_word, which reads only
+certificate words, always accepts engine names.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def format_presentation(p: Presentation) -> str:
 
 # Engine names append @i (integer subscript, possibly negative) and #k
 # segments to a plain ident; both may stack.  The pattern always accepts
-# them, and a name that has one is rejected unless extended_names is set.
+# them, and a name that has one is rejected unless engine names are allowed.
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*(?:[@#]-?[0-9]+)*"
 _POWER = r"(?:\s*\^\s*(-?)\s*([0-9]+))?"
 # Whitespace and then one whole term with the whitespace after it, or
@@ -243,20 +245,16 @@ def _runs(
     return runs, m.end() if m.group(1) is None else m.start(1)
 
 
-def parse_word(
-    text: str,
-    resolve: Callable[[str, int], Generator],
-    *,
-    extended_names: bool = False,
-) -> Word:
+def parse_word(text: str, resolve: Callable[[str, int], Generator]) -> Word:
     """Parse a bare word (the grammar's word production) on its own.
 
     The letters are exactly those written, powers expanded, with no
-    cancellation.  resolve maps an identifier and its position to a
-    generator; it may raise UnknownGeneratorError or intern new atoms as
-    the caller sees fit.  It is asked once per distinct identifier.
+    cancellation, and engine names are accepted.  resolve maps an
+    identifier and its position to a generator; it may raise
+    UnknownGeneratorError or intern new atoms as the caller sees fit.  It
+    is asked once per distinct identifier.
     """
-    runs, pos = _runs(text, 0, {}, resolve, extended_names)
+    runs, pos = _runs(text, 0, {}, resolve, True)
     if pos != len(text):
         raise _error(text, pos, "end of input")
     return Word(_expand(runs))
@@ -266,19 +264,19 @@ def parse_presentation(
     text: str,
     registry: Registry | None = None,
     *,
-    allow_empty_generators: bool = False,
-    extended_names: bool = False,
-    declare: Callable[[str], Generator] | None = None,
+    intern: Callable[[str], Generator] | None = None,
 ) -> Presentation:
     """Parse presentation text into a Presentation.
 
-    A fresh registry is created when none is given.  declare overrides how
-    generator names become atoms (certificate parsing interns names across
-    many presentations this way); by default each name is declared anew in
-    the registry.
+    By default each generator name is declared anew in the registry, a
+    fresh one when none is given.  A certificate parse passes intern
+    instead, which turns each name into its atom across the document's
+    presentations; it also allows engine names and an empty generator
+    list.
     """
-    reg = registry if registry is not None else Registry()
-    make = declare if declare is not None else reg.declare
+    extended = intern is not None
+    if intern is None:
+        intern = (registry if registry is not None else Registry()).declare
     match = _TERM.match
 
     m = match(text)
@@ -294,8 +292,8 @@ def parse_presentation(
             raise ParseError(f"expected a generator name, found {term!r}", at)
         if name in pairs:
             raise ParseError(f"duplicate generator {name!r}", at)
-        _check_name(name, at, extended_names)
-        g = make(name)
+        _check_name(name, at, extended)
+        g = intern(name)
         gens.append(g)
         pairs[name] = (Letter(g, 1), Letter(g, -1))
         pos = m.end()
@@ -304,12 +302,12 @@ def parse_presentation(
         m = match(text, pos + 1)
         if m.group(1) is None:
             raise _error(text, m.end(), "a generator name")
-    if not gens and not allow_empty_generators:
+    if not gens and not extended:
         raise EmptyGeneratorsError(pos)
     if not text.startswith("|", pos):
         raise _error(text, pos, "'|'")
 
-    runs, pos = _runs(text, pos + 1, pairs, _unknown, extended_names)
+    runs, pos = _runs(text, pos + 1, pairs, _unknown, extended)
     if text.startswith(">", pos):
         m = match(text, pos + 1)
         pos = m.end() if m.group(1) is None else m.start(1)

@@ -15,16 +15,21 @@ exhibiting the group as an HNN extension over the group of that family.
 
 zero_sum_embedding applies when every generator has nonzero exponent sum:
 two generators u, v with sums alpha, beta are traded for fresh t, b via
-u -> b t^-beta and v -> t^alpha.  The rewritten relator has t-exponent
-sum zero, so the step above applies next (or t vanishes entirely and the
-group splits off a free factor).
+u -> b t^-beta and v -> t^alpha.  The substitution map holds only those
+two images; every other generator maps to itself.  The rewritten relator
+has t-exponent sum zero, so the step above applies next (or t vanishes
+entirely and the group splits off a free factor).
+
+The guards that choose a step read one tally of the relator, taken once
+per chain node: occurrence counts and exponent sums by generator.  Each
+finder takes the presentation and the part of the tally it reads.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .presentations import Presentation, letters_of
+from .presentations import Presentation
 from .words import (
     Generator,
     Letter,
@@ -46,49 +51,53 @@ __all__ = [
     "find_zero_exponent",
     "hnn_rewrite",
     "split_free_part",
+    "tally",
     "zero_sum_embedding",
 ]
 
-
-def split_free_part(p: Presentation) -> tuple[Presentation, list[Generator]]:
-    """Split off the generators absent from the relator.
-
-    Returns the core presentation on the occurring generators (declaration
-    order kept, relator unchanged) and the list of absent generators; the
-    group is the free product of the core group and the free group on the
-    absent ones.
-    """
-    occurring = letters_of(p)
-    core_gens = tuple(g for g in p.generators if g in occurring)
-    free = [g for g in p.generators if g not in occurring]
-    return Presentation(core_gens, p.relator), free
+# One part of a tally: a count for each generator occurring in a relator.
+Counts = dict[Generator, int]
 
 
-def _tally(r: Word) -> tuple[dict[Generator, int], dict[Generator, int]]:
+def tally(r: Word) -> tuple[Counts, Counts]:
     """Occurrence counts and exponent sums by generator, taken in one pass
     over r; generators absent from r have no key."""
-    occurrences: dict[Generator, int] = {}
-    sums: dict[Generator, int] = {}
+    occurrences: Counts = {}
+    sums: Counts = {}
     for g, sign in r.letters:
         occurrences[g] = occurrences.get(g, 0) + 1
         sums[g] = sums.get(g, 0) + sign
     return occurrences, sums
 
 
-def find_single_occurrence(p: Presentation) -> Generator | None:
+def split_free_part(
+    p: Presentation, occurrences: Counts
+) -> tuple[Presentation, list[Generator]]:
+    """Split off the generators absent from the relator, given its
+    occurrence counts.
+
+    Returns the core presentation on the occurring generators (declaration
+    order kept, relator unchanged) and the list of absent generators; the
+    group is the free product of the core group and the free group on the
+    absent ones.
+    """
+    core_gens = tuple(g for g in p.generators if g in occurrences)
+    free = [g for g in p.generators if g not in occurrences]
+    return Presentation(core_gens, p.relator), free
+
+
+def find_single_occurrence(p: Presentation, occurrences: Counts) -> Generator | None:
     """First generator, in declaration order, occurring exactly once."""
-    occurrences, _ = _tally(p.relator)
     for g in p.generators:
         if occurrences.get(g) == 1:
             return g
     return None
 
 
-def find_zero_exponent(p: Presentation) -> Generator | None:
+def find_zero_exponent(p: Presentation, sums: Counts) -> Generator | None:
     """First generator, in declaration order, that occurs in the relator
     with exponent sum zero.  Occurring with sum zero forces at least two
     occurrences."""
-    _, sums = _tally(p.relator)
     for g in p.generators:
         if sums.get(g) == 0:
             return g
@@ -123,11 +132,12 @@ def hnn_rewrite(
         raise ValueError(
             f"exponent sum of {stable.name} in the relator is nonzero"
         )
-    if occurrence_count(r, stable) < 2:
+    n = occurrence_count(r, stable)
+    if n < 2:
         raise ValueError(
             f"fewer than two occurrences of {stable.name} in the relator"
         )
-    if all(l.gen == stable for l in r):
+    if n == len(r):
         raise ValueError("relator is a pure power of the stable letter")
 
     # One fresh generator per conjugate (base, i), held as its letter pair.
@@ -161,9 +171,10 @@ def hnn_rewrite(
     return fields, child
 
 
-def choose_embedding_pair(p: Presentation) -> tuple[Generator, Generator]:
+def choose_embedding_pair(p: Presentation, sums: Counts) -> tuple[Generator, Generator]:
     """Pick the ordered pair (u, v) of occurring generators minimizing
-    |alpha * beta|, ties broken by declaration order of u and then v.
+    |alpha * beta|, ties broken by declaration order of u and then v,
+    given the relator's exponent sums.
 
     With every sum nonzero, a pair of least product has the two least
     |sums| m1 <= m2 (a pair's |sums| x <= y have x >= m1 and y >= m2), so
@@ -172,7 +183,6 @@ def choose_embedding_pair(p: Presentation) -> tuple[Generator, Generator]:
     product 0: then u is the first occurring generator, and v the first
     other one if u has sum 0, else the first of sum 0.
     """
-    _, sums = _tally(p.relator)
     occurring = [g for g in p.generators if g in sums]
     if len(occurring) < 2:
         raise ValueError("embedding needs at least two occurring generators")
@@ -201,10 +211,9 @@ def zero_sum_embedding(
         raise ValueError(f"exponent sum of {v.name} in the relator is zero")
 
     stable, carrier = registry.embedding_pair()
-    images = {g: single(g) for g in p.generators}
-    images[u] = concat(single(carrier), generator_power(stable, -beta))
-    images[v] = generator_power(stable, alpha)
-    image = cyclic_reduce(substitute(r, images))
+    u_image = concat(single(carrier), generator_power(stable, -beta))
+    v_image = generator_power(stable, alpha)
+    image = cyclic_reduce(substitute(r, {u: u_image, v: v_image}))
 
     assert exponent_sum(image, stable) == 0
     assert occurrence_count(image, carrier) >= 1

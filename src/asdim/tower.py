@@ -29,16 +29,17 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Any, Iterator, Union
 
-from .presentations import Presentation, letters_of
+from .presentations import Presentation
 from .rewriting import (
     choose_embedding_pair,
     find_single_occurrence,
     find_zero_exponent,
     hnn_rewrite,
     split_free_part,
+    tally,
     zero_sum_embedding,
 )
-from .words import Registry, _Record, _set, exponent_sum
+from .words import Registry, _Record, _set
 
 __all__ = [
     "BoundReport",
@@ -236,7 +237,8 @@ def _steps(p: Presentation, reg: Registry, every: bool) -> Iterator[tuple]:
     """The guard ladder: yield, in guard order, the steps the guards allow
     at p as (node class, kind fields, next presentation), the next
     presentation None for a leaf.  Only the HNN and embedding steps offer
-    a choice; with every false the default choice alone is yielded."""
+    a choice; with every false the default choice alone is yielded.  Every
+    guard reads one tally of the relator, taken here."""
     r = p.relator
     gens = p.generators
 
@@ -244,9 +246,9 @@ def _steps(p: Presentation, reg: Registry, every: bool) -> Iterator[tuple]:
         yield FreeLeaf, (len(gens),), None
         return
 
-    occurring = letters_of(p)
-    if len(occurring) < len(gens):
-        core, free = split_free_part(p)
+    occurrences, sums = tally(r)
+    if len(occurrences) < len(gens):
+        core, free = split_free_part(p, occurrences)
         yield FreeSplit, (len(free),), core
         return
 
@@ -254,27 +256,23 @@ def _steps(p: Presentation, reg: Registry, every: bool) -> Iterator[tuple]:
         yield FreeLeaf, (len(gens) - 1,), None
         return
 
-    g = find_single_occurrence(p)
+    g = find_single_occurrence(p, occurrences)
     if g is not None:
         yield SingleElim, (g, len(gens) - 1), None
         return
 
-    if len(occurring) == 1:
+    if len(occurrences) == 1:
         # Reduced power of a single generator, exponent at least 2 here.
         yield CyclicLeaf, (len(r),), None
         return
 
-    if every:
-        pivots = [g for g in gens if exponent_sum(r, g) == 0]
-    else:
-        t = find_zero_exponent(p)
-        pivots = [] if t is None else [t]
-    if pivots:
-        for t in pivots:
-            yield (HnnStep, *hnn_rewrite(p, t, reg))
+    t = find_zero_exponent(p, sums)
+    if t is not None:
+        for pivot in [g for g in gens if sums[g] == 0] if every else [t]:
+            yield (HnnStep, *hnn_rewrite(p, pivot, reg))
         return
 
-    for u, v in permutations(gens, 2) if every else [choose_embedding_pair(p)]:
+    for u, v in permutations(gens, 2) if every else [choose_embedding_pair(p, sums)]:
         yield (EmbedStep, *zero_sum_embedding(p, u, v, reg))
 
 

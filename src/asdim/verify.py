@@ -258,10 +258,9 @@ def _verify_embed(node: EmbedStep, r: Word, flag) -> None:
     if node.beta != beta or beta == 0:
         flag("beta", f"stored {node.beta}, relator gives {beta}")
 
-    images = {g: single(g) for g in p.generators}
-    images[u] = concat(single(carrier), generator_power(stable, -beta))
-    images[v] = generator_power(stable, alpha)
-    recomputed = substitute(r, images)
+    u_image = concat(single(carrier), generator_power(stable, -beta))
+    v_image = generator_power(stable, alpha)
+    recomputed = substitute(r, {u: u_image, v: v_image})
     if not equal_as_cyclic_words(image, recomputed):
         flag("image", "stored image is not the rewritten relator")
 

@@ -6,13 +6,12 @@ Words are immutable sequences of signed letters; every operation is
 pure.  The only mutable object is the Registry.  No code path in the
 package is concurrent; a registry belongs to one pipeline at a time.
 
-The package's records (words, generators, presentations, rewriting
-outcomes, chain nodes, reports) are immutable __slots__ classes on
-_Record.  Their fields are set once, by the constructor; assigning to
-one raises AttributeError.  They compare and hash by value, except that
-a Word ignores its reduced flag and a Generator is equal only to
-itself, and x._replace(**changes) is a copy of x with the named fields
-changed, as on a NamedTuple.
+The package's records (words, generators, presentations, chain nodes,
+reports) are immutable __slots__ classes on _Record.  Their fields are
+set once, by the constructor; assigning to one raises AttributeError.
+They compare and hash by value, except that a Word ignores its reduced
+flag and a Generator is equal only to itself, and x._replace(**changes)
+is a copy of x with the named fields changed, as on a NamedTuple.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 __all__ = [
     "Generator",
     "Letter",
-    "MissingImageError",
     "Registry",
     "Word",
     "EMPTY_WORD",
@@ -282,27 +280,19 @@ def occurrence_count(w: Word, gen: Generator) -> int:
     return w.letters.count(Letter(gen, 1)) + w.letters.count(Letter(gen, -1))
 
 
-class MissingImageError(ValueError):
-    """substitute() met a generator with no assigned image."""
-
-    def __init__(self, gen: Generator):
-        self.gen = gen
-        super().__init__(f"no image given for generator {gen.name}")
-
-
 def substitute(w: Word, images: Mapping[Generator, Word]) -> Word:
     """Apply the homomorphism determined by images and freely reduce.
 
-    A letter g^-1 maps to the inverse of images[g], computed once per
-    generator.  Every generator occurring in w must have an image.
+    A generator with no image maps to itself.  A letter g^-1 maps to the
+    inverse of images[g], computed once per generator.
     """
     letters: list[Letter] = []
     inverted: dict[Generator, tuple[Letter, ...]] = {}
     for l in w.letters:
         img = images.get(l.gen)
         if img is None:
-            raise MissingImageError(l.gen)
-        if l.sign > 0:
+            letters.append(l)
+        elif l.sign > 0:
             letters.extend(img.letters)
         else:
             inv = inverted.get(l.gen)

@@ -71,6 +71,26 @@ def naive_hnn_expansion(parent, child, renaming, stable) -> str | None:
     return None
 
 
+def naive_single_occurrence(p):
+    """The first generator, in declaration order, that occurs exactly once
+    in the relator, counted letter by letter for each generator."""
+    for g in p.generators:
+        if sum(1 for l in p.relator.letters if l.gen == g) == 1:
+            return g
+    return None
+
+
+def naive_zero_exponent(p):
+    """The first generator, in declaration order, that occurs in the
+    relator with exponent sum zero, summed letter by letter for each
+    generator."""
+    for g in p.generators:
+        signs = [l.sign for l in p.relator.letters if l.gen == g]
+        if signs and sum(signs) == 0:
+            return g
+    return None
+
+
 def naive_embedding_pair(p):
     """The ordered pair (u, v) of occurring generators minimizing
     |alpha * beta|, ties broken by declaration order of u and then v,

@@ -34,6 +34,15 @@ def _installed(name):
     return True
 
 
+def _source_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def _check_torus_bound(command, env=None):
     proc = subprocess.run(
         [*command, "bound", "< a, b | [a, b] >"],
@@ -190,6 +199,31 @@ class TestBatch:
         assert main(["batch", "/nonexistent/path.txt"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(b"\xff\xfe< a | a >\n")
+        assert main(["batch", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot read {f}: 'utf-8' codec can't decode")
+
+    def test_output_closed_early_ends_quietly(self):
+        # 5000 rows are more than the pipe and the reader's buffer hold, so
+        # the sweep is still writing when the reader closes the pipe.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "asdim.cli", "batch", "--random", "5000", "8", "3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_source_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first.startswith(b"input\t")
+        assert err == b""
+
     def test_random_sweep(self, capsys):
         assert main(["batch", "--random", "5", "8", "3", "--seed", "11"]) == 0
         out = capsys.readouterr().out
@@ -251,11 +285,7 @@ class TestEntryPoint:
         module, _, attr = scripts["asdim"].partition(":")
         assert getattr(importlib.import_module(module), attr) is asdim.cli.main
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-        )
-        _check_torus_bound([sys.executable, "-m", "asdim.cli"], env)
+        _check_torus_bound([sys.executable, "-m", "asdim.cli"], _source_env())
 
     @pytest.mark.skipif(
         not _installed("asdim"), reason="no distribution named asdim is installed"

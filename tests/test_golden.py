@@ -7,7 +7,8 @@ and towers_examined on the shorter inputs.  A refactor that is meant to
 leave every output unchanged must leave the digest unchanged; a change
 that alters output on purpose restates GOLDEN and says why.  The corpus
 is exhaustive or a fixed family, with no random draws, so the digest does
-not depend on the interpreter version.
+not depend on the interpreter version.  A second SHA-256, DEEP_GOLDEN,
+covers the certificate of one deep chain on its own.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from asdim import (
 )
 
 GOLDEN = "88b5e5157b7e0111a6bd93e2588b784d791a75bb23953393e581222f265f7c2e"
+
+# The certificate of < a, b | b^-1 a^600 b^-1 a^600 >: 1,201 nodes and
+# 26,324,165 bytes, the one chain here deeper than the corpus reaches.
+DEEP_TEXT = "< a, b | b^-1 a^600 b^-1 a^600 >"
+DEEP_GOLDEN = "d93b9130b41922ce0f7d4b0f5c87e5a4793dcb7cdd8230e1980d62650a6b099d"
 
 BEST_TOWER_MAX_LEN = 5
 
@@ -70,3 +76,10 @@ def test_corpus_outputs_are_byte_identical():
             digest.update(part.encode())
             digest.update(b"\0")
     assert digest.hexdigest() == GOLDEN
+
+
+def test_deep_chain_certificate_is_byte_identical():
+    reg = Registry()
+    cert = emit_certificate(build_tower(parse_presentation(DEEP_TEXT, reg), reg))
+    assert len(cert) == 26_324_165
+    assert hashlib.sha256(cert.encode()).hexdigest() == DEEP_GOLDEN

@@ -81,7 +81,7 @@ class TestParsing:
 
     def test_extended_names_opt_in(self):
         p = parse_presentation(
-            "< t#1, b#1 | b#1 t#1^-3 b#1 t#1^3 >", extended_names=True
+            "< t#1, b#1 | b#1 t#1^-3 b#1 t#1^3 >", intern=Registry().declare
         )
         assert tuple(g.name for g in p.generators) == ("t#1", "b#1")
         assert len(p.relator) == 8
@@ -89,7 +89,7 @@ class TestParsing:
             parse_presentation("< t#1, b#1 | b#1 >")
 
     def test_subscripted_names_opt_in(self):
-        p = parse_presentation("< b@-3, b@0 | b@0 b@-3 >", extended_names=True)
+        p = parse_presentation("< b@-3, b@0 | b@0 b@-3 >", intern=Registry().declare)
         assert tuple(g.name for g in p.generators) == ("b@-3", "b@0")
 
 
@@ -107,7 +107,7 @@ class TestErrors:
     def test_empty_generator_list(self):
         with pytest.raises(EmptyGeneratorsError):
             parse_presentation("< | 1 >")
-        p = parse_presentation("< | 1 >", allow_empty_generators=True)
+        p = parse_presentation("< | 1 >", intern=Registry().declare)
         assert p.generators == ()
         assert format_presentation(p) == "< | 1 >"
 
@@ -318,7 +318,7 @@ class TestScannerAgainstNaiveParse:
     @given(presentation_text())
     def test_relator_matches_the_character_level_oracle(self, case):
         text, body = case
-        p = parse_presentation(text, extended_names=True)
+        p = parse_presentation(text, intern=Registry().declare)
         assert names(p.relator) == tuple(naive_parse(text))
         if not any(c in text for c in "@#"):
             assert names(parse_presentation(text).relator) == names(p.relator)
@@ -333,7 +333,7 @@ class TestScannerAgainstNaiveParse:
         def resolve(name, pos):
             return table.setdefault(name, reg.declare(name))
 
-        word = parse_word(body, resolve, extended_names=True)
+        word = parse_word(body, resolve)
         assert names(word) == tuple(naive_word(body))
 
     def test_parse_word_does_not_cancel(self):
@@ -365,18 +365,16 @@ class TestFuzz:
 
     @staticmethod
     def check(text):
-        for extended in (False, True):
+        for intern in (None, Registry().declare):
             try:
-                parse_presentation(
-                    text, extended_names=extended, allow_empty_generators=extended
-                )
+                parse_presentation(text, intern=intern)
             except ParseError:
                 pass
-            reg = Registry()
-            try:
-                parse_word(text, lambda name, pos: reg.declare(name), extended_names=extended)
-            except ParseError:
-                pass
+        reg = Registry()
+        try:
+            parse_word(text, lambda name, pos: reg.declare(name))
+        except ParseError:
+            pass
         try:
             parse_certificate(text)
         except CertificateError:

@@ -30,9 +30,30 @@ from asdim import (
     single,
     split_free_part,
     substitute,
+    tally,
     zero_sum_embedding,
 )
-from oracles import naive_embedding_pair
+from oracles import naive_embedding_pair, naive_single_occurrence, naive_zero_exponent
+
+
+def occurrences(p):
+    return tally(p.relator)[0]
+
+
+def sums(p):
+    return tally(p.relator)[1]
+
+
+def random_word_presentation(data):
+    """A presentation on 2 to 6 generators whose relator is up to ten
+    powers of them, drawn by hypothesis."""
+    gens = "abcdef"[: data.draw(st.integers(min_value=2, max_value=6))]
+    exponents = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    terms = data.draw(
+        st.lists(st.tuples(st.sampled_from(gens), exponents), max_size=10)
+    )
+    word = " ".join(f"{x}^{e}" for x, e in terms) or "1"
+    return parse_presentation(f"< {', '.join(gens)} | {word} >")
 
 
 def names(word):
@@ -75,14 +96,14 @@ def expand_rewritten(rw):
 class TestSplitFreePart:
     def test_absent_generators_split_off(self):
         p = parse_presentation("< a, b, c | a c >")
-        core, absent = split_free_part(p)
+        core, absent = split_free_part(p, occurrences(p))
         assert tuple(g.name for g in core.generators) == ("a", "c")
         assert [g.name for g in absent] == ["b"]
         assert core.relator == p.relator
 
     def test_nothing_to_split(self):
         p = parse_presentation("< a, b | a b >")
-        core, absent = split_free_part(p)
+        core, absent = split_free_part(p, occurrences(p))
         assert core.generators == p.generators
         assert absent == []
 
@@ -90,29 +111,38 @@ class TestSplitFreePart:
 class TestPivotSearch:
     def test_single_occurrence_first_in_declaration_order(self):
         p = parse_presentation("< a, b, c | b a c b >")
-        g = find_single_occurrence(p)
+        g = find_single_occurrence(p, occurrences(p))
         assert g is not None and g.name == "a"
 
     def test_single_occurrence_counts_inverse_letters(self):
         p = parse_presentation("< a, b | b a^-1 b >")
-        g = find_single_occurrence(p)
+        g = find_single_occurrence(p, occurrences(p))
         assert g is not None and g.name == "a"
 
     def test_no_single_occurrence(self):
-        assert find_single_occurrence(parse_presentation("< a | a^2 >")) is None
+        p = parse_presentation("< a | a^2 >")
+        assert find_single_occurrence(p, occurrences(p)) is None
 
     def test_zero_exponent_first_in_declaration_order(self):
         p = parse_presentation("< a, b | a b a^-1 b^-1 >")
-        g = find_zero_exponent(p)
+        g = find_zero_exponent(p, sums(p))
         assert g is not None and g.name == "a"
 
     def test_zero_exponent_skips_nonzero(self):
         p = parse_presentation("< a, t | t a t^-1 a^-2 >")
-        g = find_zero_exponent(p)
+        g = find_zero_exponent(p, sums(p))
         assert g is not None and g.name == "t"
 
     def test_zero_exponent_absent(self):
-        assert find_zero_exponent(parse_presentation("< u, v | u^2 v^3 >")) is None
+        p = parse_presentation("< u, v | u^2 v^3 >")
+        assert find_zero_exponent(p, sums(p)) is None
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_tally_fed_finders_match_the_letter_oracles(self, data):
+        p = random_word_presentation(data)
+        assert find_single_occurrence(p, occurrences(p)) == naive_single_occurrence(p)
+        assert find_zero_exponent(p, sums(p)) == naive_zero_exponent(p)
 
 
 class TestHnnRewrite:
@@ -202,22 +232,23 @@ class TestHnnRewrite:
 class TestEmbeddingPair:
     def test_trefoil_pair(self):
         p = parse_presentation("< u, v | u^2 v^3 >")
-        u, v = choose_embedding_pair(p)
+        u, v = choose_embedding_pair(p, sums(p))
         assert (u.name, v.name) == ("u", "v")
 
     def test_ties_break_by_declaration_order(self):
         p = parse_presentation("< a, b, c | a b c a b c >")
-        u, v = choose_embedding_pair(p)
+        u, v = choose_embedding_pair(p, sums(p))
         assert (u.name, v.name) == ("a", "b")
 
     def test_smallest_product_wins(self):
         p = parse_presentation("< a, b, c | a^5 b^4 c^2 >")
-        u, v = choose_embedding_pair(p)
+        u, v = choose_embedding_pair(p, sums(p))
         assert (u.name, v.name) == ("b", "c")
 
     def test_needs_two_occurring(self):
+        p = parse_presentation("< a | a^3 >")
         with pytest.raises(ValueError, match="at least two occurring"):
-            choose_embedding_pair(parse_presentation("< a | a^3 >"))
+            choose_embedding_pair(p, sums(p))
 
     @pytest.mark.parametrize(
         "text, pair",
@@ -232,23 +263,21 @@ class TestEmbeddingPair:
         ],
     )
     def test_pinned_pairs(self, text, pair):
-        u, v = choose_embedding_pair(parse_presentation(text))
+        p = parse_presentation(text)
+        u, v = choose_embedding_pair(p, sums(p))
         assert (u.name, v.name) == pair
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_matches_the_pairwise_oracle(self, data):
-        gens = "abcdef"[: data.draw(st.integers(min_value=2, max_value=6))]
-        exponents = st.sampled_from((-3, -2, -1, 1, 2, 3))
-        terms = data.draw(
-            st.lists(st.tuples(st.sampled_from(gens), exponents), max_size=10)
-        )
-        word = " ".join(f"{x}^{e}" for x, e in terms) or "1"
-        p = parse_presentation(f"< {', '.join(gens)} | {word} >")
+        p = random_word_presentation(data)
         outcomes = []
-        for choose in (choose_embedding_pair, naive_embedding_pair):
+        for choose in (
+            lambda: choose_embedding_pair(p, sums(p)),
+            lambda: naive_embedding_pair(p),
+        ):
             try:
-                outcomes.append(choose(p))
+                outcomes.append(choose())
             except ValueError as e:
                 outcomes.append(str(e))
         assert outcomes[0] == outcomes[1]
@@ -280,7 +309,7 @@ class TestZeroSumEmbedding:
     def test_spectator_generators_carry_over(self):
         reg = Registry()
         p = parse_presentation("< u, v, c | u v c u v c >", reg)
-        u, v = choose_embedding_pair(p)
+        u, v = choose_embedding_pair(p, sums(p))
         emb = embed(p, u, v, reg)
         assert [g.name for g in emb.child.generators] == ["t#1", "b#1", "c"]
         assert occurrence_count(emb.image, p.generators[2]) == 2
@@ -301,7 +330,7 @@ class TestZeroSumEmbedding:
 
 
 def _eligible_hnn(p):
-    return find_zero_exponent(p)
+    return find_zero_exponent(p, sums(p))
 
 
 class TestRandomizedProperties:
@@ -334,7 +363,7 @@ class TestRandomizedProperties:
             return
         if any(exponent_sum(p.relator, g) == 0 for g in occurring):
             return
-        u, v = choose_embedding_pair(p)
+        u, v = choose_embedding_pair(p, sums(p))
         emb = embed(p, u, v, reg)
         assert exponent_sum(emb.image, emb.stable) == 0
         assert occurrence_count(emb.image, emb.carrier) == occurrence_count(
@@ -355,10 +384,11 @@ class TestRandomizedProperties:
             return
         if any(exponent_sum(p.relator, g) == 0 for g in occurring):
             return
-        u, v = choose_embedding_pair(p)
+        u, v = choose_embedding_pair(p, sums(p))
         emb = embed(p, u, v, reg)
-        images = {g: single(g) for g in p.generators}
-        images[u] = concat(single(emb.carrier), generator_power(emb.stable, -emb.beta))
-        images[v] = generator_power(emb.stable, emb.alpha)
+        images = {
+            u: concat(single(emb.carrier), generator_power(emb.stable, -emb.beta)),
+            v: generator_power(emb.stable, emb.alpha),
+        }
         direct = substitute(p.relator, images)
         assert exponent_sum(direct, emb.stable) == 0

@@ -94,7 +94,7 @@ class TestGuardOrder:
 
     def test_zero_generator_trivial_group(self):
         reg = Registry()
-        p = parse_presentation("< | 1 >", reg, allow_empty_generators=True)
+        p = parse_presentation("< | 1 >", intern=reg.declare)
         root = build_tower(p, reg)
         assert isinstance(root, FreeLeaf)
         assert (root.rank, root.bound) == (0, 0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from asdim import (
     EMPTY_WORD,
     Letter,
-    MissingImageError,
     Registry,
     Word,
     concat,
@@ -99,11 +98,6 @@ class TestFrozenExamples:
             single(b), generator_power(t, -3), single(b), generator_power(t, 3)
         )
         assert got == expected
-
-    def test_substitute_missing_image_raises(self):
-        with pytest.raises(MissingImageError) as exc:
-            substitute(w("a b"), {A: single(A)})
-        assert exc.value.gen == B
 
     def test_substitute_inverse_letter_uses_inverse_image(self):
         images = {A: w("b c")}
@@ -245,8 +239,13 @@ class TestProperties:
 
     @given(words)
     def test_substitute_identity_images_reduces(self, word):
-        images = {g: single(g) for g in GENS}
-        assert substitute(word, images) == reduce_word(word)
+        for images in ({g: single(g) for g in GENS}, {}):
+            assert substitute(word, images) == reduce_word(word)
+
+    @given(words, st.dictionaries(st.sampled_from(GENS), words))
+    def test_substitute_partial_map_is_completed_by_identity(self, word, images):
+        completed = {g: single(g) for g in GENS} | images
+        assert substitute(word, images) == substitute(word, completed)
 
     @settings(max_examples=50)
     @given(words)
