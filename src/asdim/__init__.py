@@ -22,7 +22,6 @@ from .presentations import (
     format_presentation,
     letters_of,
     parse_presentation,
-    parse_word,
 )
 from .rewriting import (
     RenameEntry,
@@ -122,7 +121,6 @@ __all__ = [
     "occurrence_count",
     "parse_certificate",
     "parse_presentation",
-    "parse_word",
     "random_cyclically_reduced_word",
     "random_presentation",
     "random_reduced_word",

@@ -7,31 +7,39 @@ emitting, parsing, and emitting again is byte-identical.  Generator
 identity inside one document is by display name; names invented by the
 engine are unique within a chain by construction.
 
-Each node kind is one entry of the _KINDS table: its own keys in
-document order, the key linking it to the next node, and its rendered
-headline.  A key names the node field it holds, and the keys come in the
-order of the node's slots.  Each key has one of four field codecs,
-which write a field as a v1 value and read it back:
+A node's object holds its kind, presentation and bound, then its own
+fields (the slots of its class but presentation, child and bound) in
+slot order, then the next node's object under its kind's link key.
+_KINDS holds each kind's link key and rendered headline.  Each field
+name picks one of four codecs, which write a field as a v1 value and
+read it back:
 
     _INT    an integer                          2
     _GEN    a generator, as its name            "b@0"
-    _WORD   a word, in presentation syntax      "b@1 b@0^-1"
+    _WORD   a word, as format_word writes it    "b@1 b@0^-1"
     _ROWS   renaming rows [fresh, base, i]      [["b@0", "b", 0]]
 
-emit, parse and render loop over the chain with the table.
+The reader takes exactly the text format_word and format_presentation
+write: a word is "1" or name and name^e tokens separated by single
+spaces, a presentation "< names | word >".  Anything else is a
+CertificateError.  Word fields keep their letters as written; a relator
+is folded on runs, as by parse_presentation, under the same MAX_LETTERS.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NamedTuple
 
 from .presentations import (
+    _IDENT,
     Presentation,
+    _expand,
+    _Pair,
+    _Run,
     format_presentation,
-    parse_presentation,
-    parse_word,
 )
 from .rewriting import RenameEntry
 from .tower import (
@@ -44,7 +52,7 @@ from .tower import (
     SingleElim,
     walk,
 )
-from .words import Generator, Registry, Word, format_word
+from .words import Generator, Letter, Word, fold_runs, format_word
 
 __all__ = [
     "CertificateError",
@@ -72,28 +80,61 @@ def _need(d: dict[str, Any], key: str, kind: type) -> Any:
     return value
 
 
+_NAME = re.compile(_IDENT)
+# A word's token: a name, and its power unless that is 1.
+_TOKEN = re.compile(rf"({_IDENT})(?:\^(-?[1-9][0-9]*))?")
+_PRESENTATION = re.compile(r"< (?:(.*?) )?\| (.*) >")
+
+
 class _Reader:
     """Reads the fields of one document.  Generator identity is by display
-    name throughout the document, so every name is interned once."""
+    name throughout the document, so every name is interned once, as its
+    letter pair."""
 
-    def __init__(self, registry: Registry) -> None:
-        self.registry = registry
-        self.table: dict[str, Generator] = {}
+    def __init__(self) -> None:
+        self.pairs: dict[str, _Pair] = {}
+
+    def pair(self, name: str) -> _Pair:
+        pair = self.pairs.get(name)
+        if pair is None:
+            if _NAME.fullmatch(name) is None:
+                raise CertificateError(f"not a generator name: {name!r}")
+            g = Generator(name)
+            pair = self.pairs[name] = (Letter(g, 1), Letter(g, -1))
+        return pair
 
     def intern(self, name: str) -> Generator:
-        g = self.table.get(name)
-        if g is None:
-            g = self.table[name] = self.registry.declare(name)
-        return g
+        return self.pair(name)[0].gen
 
-    def gen(self, d: dict[str, Any], key: str) -> Generator:
-        return self.intern(_need(d, key, str))
+    def runs(self, text: str) -> list[_Run]:
+        """A word's runs, one per token, as (pair, exponent, position)."""
+        if text == "1":
+            return []
+        runs = []
+        at = 0
+        for token in text.split(" "):
+            m = _TOKEN.fullmatch(token)
+            if m is None:
+                raise CertificateError(f"malformed word {text!r}")
+            name, e = m.groups()
+            runs.append((self.pair(name), int(e or 1), at))
+            at += len(token) + 1
+        return runs
 
     def word(self, d: dict[str, Any], key: str) -> Word:
-        return parse_word(_need(d, key, str), lambda name, pos: self.intern(name))
+        return Word(_expand(self.runs(_need(d, key, str))))
 
     def presentation(self, d: dict[str, Any]) -> Presentation:
-        return parse_presentation(_need(d, "presentation", str), intern=self.intern)
+        text = _need(d, "presentation", str)
+        m = _PRESENTATION.fullmatch(text)
+        if m is None:
+            raise CertificateError(f"malformed presentation {text!r}")
+        names, word = m.groups()
+        gens = () if names is None else tuple(map(self.intern, names.split(", ")))
+        # Adjacent folded runs have distinct generators and nonzero
+        # exponents, so their letters are reduced.
+        letters = _expand(fold_runs(self.runs(word)))
+        return Presentation(gens, Word(letters, reduced=True))
 
     def renaming(self, d: dict[str, Any], key: str) -> tuple[RenameEntry, ...]:
         entries = []
@@ -118,7 +159,7 @@ class _Codec(NamedTuple):
 
 
 _INT = _Codec(lambda n: n, lambda rd, d, key: _need(d, key, int))
-_GEN = _Codec(lambda g: g.name, _Reader.gen)
+_GEN = _Codec(lambda g: g.name, lambda rd, d, key: rd.intern(_need(d, key, str)))
 _WORD = _Codec(format_word, _Reader.word)
 _ROWS = _Codec(
     lambda rows: [[e.fresh.name, e.base.name, e.subscript] for e in rows],
@@ -126,66 +167,54 @@ _ROWS = _Codec(
 )
 
 
+# The codec of each node field, by field name.
+_CODECS = {
+    **dict.fromkeys(("rank", "order", "split_off_rank", "alpha", "beta"), _INT),
+    **dict.fromkeys(("min_subscript", "max_subscript"), _INT),
+    **dict.fromkeys(("eliminated", "stable", "base", "u", "v", "carrier"), _GEN),
+    **dict.fromkeys(("rewritten", "image"), _WORD),
+    "renaming": _ROWS,
+}
+
+
 class _Kind(NamedTuple):
     """How one node kind is written in a v1 document."""
 
     link: str | None  # key of the next node's object; None for a leaf
-    keys: dict[str, _Codec]  # the kind's own fields, in key and slot order
     headline: str  # render_tree text, a format string over the emitted fields
 
 
 _KINDS: dict[type, _Kind] = {
-    FreeLeaf: _Kind(None, {"rank": _INT}, "rank={rank}"),
-    CyclicLeaf: _Kind(None, {"order": _INT}, "order={order}"),
-    SingleElim: _Kind(
-        None,
-        {"eliminated": _GEN, "rank": _INT},
-        "eliminate={eliminated}  rank={rank}",
-    ),
-    FreeSplit: _Kind(
-        "child", {"split_off_rank": _INT}, "split_off_rank={split_off_rank}"
-    ),
+    FreeLeaf: _Kind(None, "rank={rank}"),
+    CyclicLeaf: _Kind(None, "order={order}"),
+    SingleElim: _Kind(None, "eliminate={eliminated}  rank={rank}"),
+    FreeSplit: _Kind("child", "split_off_rank={split_off_rank}"),
     HnnStep: _Kind(
         "child",
-        {
-            "stable": _GEN,
-            "base": _GEN,
-            "rewritten": _WORD,
-            "min_subscript": _INT,
-            "max_subscript": _INT,
-            "renaming": _ROWS,
-        },
         "stable={stable}  base={base}  subscripts={min_subscript}..{max_subscript}"
         "  s={rewritten!r}",
     ),
     EmbedStep: _Kind(
-        "inner",
-        {
-            "u": _GEN,
-            "v": _GEN,
-            "alpha": _INT,
-            "beta": _INT,
-            "stable": _GEN,
-            "carrier": _GEN,
-            "image": _WORD,
-        },
-        "u={u} alpha={alpha}  v={v} beta={beta}  image={image!r}",
+        "inner", "u={u} alpha={alpha}  v={v} beta={beta}  image={image!r}"
     ),
 }
 _BY_NAME = {cls.kind: cls for cls in _KINDS}
+# Each kind's own fields, in slot order, with their codecs.
+_SHARED = ("presentation", "child", "bound")
+_OWN = {c: [(k, _CODECS[k]) for k in c.__slots__ if k not in _SHARED] for c in _KINDS}
 
 
 def _fields(node: Node) -> dict[str, Any]:
     """The node's v1 object without its link to the next node."""
-    spec = _KINDS.get(type(node))
-    if spec is None:
+    own = _OWN.get(type(node))
+    if own is None:
         raise TypeError(f"not a certificate node: {node!r}")
     fields = {
         "kind": node.kind,
         "presentation": format_presentation(node.presentation),
         "bound": node.bound,
     }
-    for key, codec in spec.keys.items():
+    for key, codec in own:
         fields[key] = codec.write(getattr(node, key))
     return fields
 
@@ -223,7 +252,7 @@ def emit_certificate(root: Node) -> str:
     return "".join(parts)
 
 
-def parse_certificate(text: str, registry: Registry | None = None) -> Node:
+def parse_certificate(text: str) -> Node:
     """Rebuild a chain from document text.
 
     Raises CertificateError on malformed documents; a well-formed but
@@ -243,7 +272,7 @@ def parse_certificate(text: str, registry: Registry | None = None) -> Node:
             f"unsupported schema_version {doc.get('schema_version')!r}"
         )
     root = _need(doc, "root", dict)
-    rd = _Reader(registry if registry is not None else Registry())
+    rd = _Reader()
     try:
         return _from_objects(root, rd)
     except ValueError as e:
@@ -268,7 +297,7 @@ def _from_objects(d: dict[str, Any], rd: _Reader) -> Node:
     for cls, d in reversed(path):
         p = rd.presentation(d)
         bound = _need(d, "bound", int)
-        fields = [codec.read(rd, d, key) for key, codec in _KINDS[cls].keys.items()]
+        fields = [codec.read(rd, d, key) for key, codec in _OWN[cls]]
         link = () if node is None else (node,)
         node = cls(p, *fields, *link, bound)
     return node

@@ -16,32 +16,29 @@ time; nothing downstream ever sees an exponent.
 
 Text is read one term at a time: a single compiled pattern matches a
 whole term with its power, so the Python-level work of a parse grows
-with the number of terms, not with letters or characters.  A
-presentation's relator is freely reduced on runs as it is read (a run of
-one generator folds its exponents and is dropped at zero) and expanded
-into letters only then, so the Presentation constructor is left to strip
-the ends.  parse_word keeps a word's letters exactly as written: the
-certificate verifier compares stored words letter for letter.
+with the number of terms, not with letters or characters.  The relator
+is freely reduced on runs as it is read (a run of one generator folds
+its exponents and is dropped at zero) and expanded into letters only
+then, so the Presentation constructor is left to strip the ends.
 
 A word expands to at most MAX_LETTERS = 10,000,000 letters, a fixed
 limit that keeps one line of input from asking for unbounded memory.
 Letters are counted before any is made: a relator's after the run
-folding (so a^N a^-N is "1" for any N), a bare word's as written, and
-[x, y]^n as 4 |n| letters where it is written.  A longer word is a
-ParseError at the term that takes it past the limit.
+folding (so a^N a^-N is "1" for any N), and [x, y]^n as 4 |n| letters
+where it is written.  A longer word is a ParseError at the term that
+takes it past the limit.  asdim.certio reads certificate words with the
+same run helpers under the same limit.
 
-Certificates need two relaxations that user input does not get: cores of
-free splits can have an empty generator list, and engine-invented names
-contain "@" and "#" segments.  parse_presentation allows both when it is
-given the certificate's intern function, and parse_word, which reads only
-certificate words, always accepts engine names.
+Generator names are plain identifiers.  Names the engine invents carry
+"@" and "#" segments; those are read only from certificates, by
+asdim.certio, and one in this grammar is an error at its first "@" or
+"#".
 """
 
 from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Callable
 
 from .words import (
     Generator,
@@ -63,7 +60,6 @@ __all__ = [
     "format_presentation",
     "letters_of",
     "parse_presentation",
-    "parse_word",
 ]
 
 
@@ -123,8 +119,9 @@ def format_presentation(p: Presentation) -> str:
 
 
 # Engine names append @i (integer subscript, possibly negative) and #k
-# segments to a plain ident; both may stack.  The pattern always accepts
-# them, and a name that has one is rejected unless engine names are allowed.
+# segments to a plain ident; both may stack.  The pattern accepts them,
+# so that _check_name reports one in user input at its first "@" or "#",
+# and asdim.certio reads certificate names with it.
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*(?:[@#]-?[0-9]+)*"
 _POWER = r"(?:\s*\^\s*(-?)\s*([0-9]+))?"
 # Whitespace and then one whole term with the whitespace after it, or
@@ -149,28 +146,14 @@ def _error(text: str, pos: int, expected: str) -> ParseError:
     return ParseError(f"expected {expected}, found {found}", pos)
 
 
-def _check_name(name: str, pos: int, extended: bool) -> None:
-    if not extended:
-        for i, c in enumerate(name):
-            if c in "@#":
-                raise ParseError(f"unexpected character {c!r}", pos + i)
+def _check_name(name: str, pos: int) -> None:
+    for i, c in enumerate(name):
+        if c in "@#":
+            raise ParseError(f"unexpected character {c!r}", pos + i)
 
 
-def _pair(
-    pairs: dict[str, _Pair],
-    name: str,
-    pos: int,
-    resolve: Callable[[str, int], Generator],
-    extended: bool,
-) -> _Pair:
-    """The letter pair of a name not seen before in this text."""
-    _check_name(name, pos, extended)
-    g = resolve(name, pos)
-    pair = pairs[name] = (Letter(g, 1), Letter(g, -1))
-    return pair
-
-
-def _unknown(name: str, pos: int) -> Generator:
+def _unknown(name: str, pos: int) -> _Pair:
+    _check_name(name, pos)
     raise UnknownGeneratorError(name, pos)
 
 
@@ -193,21 +176,14 @@ def _expand(runs: list) -> tuple[Letter, ...]:
     return tuple(letters)
 
 
-def _runs(
-    text: str,
-    pos: int,
-    pairs: dict[str, _Pair],
-    resolve: Callable[[str, int], Generator],
-    extended: bool,
-) -> tuple[list[_Run], int]:
+def _runs(text: str, pos: int, pairs: dict[str, _Pair]) -> tuple[list[_Run], int]:
     """Scan the word that starts at pos, one term per match.
 
     Returns its runs in text order, unreduced (a commutator gives four
     per repetition), and the position where scanning stopped: the first
     character after the word and the whitespace behind it.  pairs holds
-    the letter pair of each name seen so far; resolve is asked once for
-    each name that is not in it.  A commutator power is counted against
-    MAX_LETTERS before its runs are made.
+    the letter pair of each declared name.  A commutator power is
+    counted against MAX_LETTERS before its runs are made.
     """
     match = _TERM.match
     runs: list[_Run] = []
@@ -223,11 +199,11 @@ def _runs(
         except ValueError:  # more digits than int() converts
             raise ParseError("exponent has too many digits", at) from None
         if name is not None:
-            pair = pairs.get(name) or _pair(pairs, name, at, resolve, extended)
+            pair = pairs.get(name) or _unknown(name, at)
             runs.append((pair, -e if neg else e, at))
         else:
-            px = pairs.get(x) or _pair(pairs, x, m.start(3), resolve, extended)
-            py = pairs.get(y) or _pair(pairs, y, m.start(4), resolve, extended)
+            px = pairs.get(x) or _unknown(x, m.start(3))
+            py = pairs.get(y) or _unknown(y, m.start(4))
             if neg:
                 px, py = py, px
             commuted += 4 * e
@@ -245,38 +221,10 @@ def _runs(
     return runs, m.end() if m.group(1) is None else m.start(1)
 
 
-def parse_word(text: str, resolve: Callable[[str, int], Generator]) -> Word:
-    """Parse a bare word (the grammar's word production) on its own.
-
-    The letters are exactly those written, powers expanded, with no
-    cancellation, and engine names are accepted.  resolve maps an
-    identifier and its position to a generator; it may raise
-    UnknownGeneratorError or intern new atoms as the caller sees fit.  It
-    is asked once per distinct identifier.
-    """
-    runs, pos = _runs(text, 0, {}, resolve, True)
-    if pos != len(text):
-        raise _error(text, pos, "end of input")
-    return Word(_expand(runs))
-
-
-def parse_presentation(
-    text: str,
-    registry: Registry | None = None,
-    *,
-    intern: Callable[[str], Generator] | None = None,
-) -> Presentation:
-    """Parse presentation text into a Presentation.
-
-    By default each generator name is declared anew in the registry, a
-    fresh one when none is given.  A certificate parse passes intern
-    instead, which turns each name into its atom across the document's
-    presentations; it also allows engine names and an empty generator
-    list.
-    """
-    extended = intern is not None
-    if intern is None:
-        intern = (registry if registry is not None else Registry()).declare
+def parse_presentation(text: str, registry: Registry | None = None) -> Presentation:
+    """Parse presentation text into a Presentation, each generator name
+    declared anew in the registry, a fresh one when none is given."""
+    declare = (registry if registry is not None else Registry()).declare
     match = _TERM.match
 
     m = match(text)
@@ -292,8 +240,8 @@ def parse_presentation(
             raise ParseError(f"expected a generator name, found {term!r}", at)
         if name in pairs:
             raise ParseError(f"duplicate generator {name!r}", at)
-        _check_name(name, at, extended)
-        g = intern(name)
+        _check_name(name, at)
+        g = declare(name)
         gens.append(g)
         pairs[name] = (Letter(g, 1), Letter(g, -1))
         pos = m.end()
@@ -302,12 +250,12 @@ def parse_presentation(
         m = match(text, pos + 1)
         if m.group(1) is None:
             raise _error(text, m.end(), "a generator name")
-    if not gens and not extended:
+    if not gens:
         raise EmptyGeneratorsError(pos)
     if not text.startswith("|", pos):
         raise _error(text, pos, "'|'")
 
-    runs, pos = _runs(text, pos + 1, pairs, _unknown, extended)
+    runs, pos = _runs(text, pos + 1, pairs)
     if text.startswith(">", pos):
         m = match(text, pos + 1)
         pos = m.end() if m.group(1) is None else m.start(1)

@@ -121,24 +121,22 @@ def hnn_rewrite(
     (stable, base, rewritten, min_subscript, max_subscript, renaming) and
     the child presentation, whose relator is rewritten.
 
-    Requires exponent_sum(relator, stable) == 0, at least two stable
-    occurrences, and at least one other letter.  The emitted word expands
-    back to the relator letter for letter when each tagged generator is
-    replaced by its conjugate, with no cyclic adjustment; tests and the
-    certificate verifier both lean on that exactness.
+    Requires exponent_sum(relator, stable) == 0 and at least two stable
+    occurrences; the relator, cyclically reduced, then has another letter
+    too.  The emitted word expands back to the relator letter for letter
+    when each tagged generator is replaced by its conjugate, with no
+    cyclic adjustment; tests and the certificate verifier both lean on
+    that exactness.
     """
     r = p.relator
     if exponent_sum(r, stable) != 0:
         raise ValueError(
             f"exponent sum of {stable.name} in the relator is nonzero"
         )
-    n = occurrence_count(r, stable)
-    if n < 2:
+    if occurrence_count(r, stable) < 2:
         raise ValueError(
             f"fewer than two occurrences of {stable.name} in the relator"
         )
-    if n == len(r):
-        raise ValueError("relator is a pure power of the stable letter")
 
     # One fresh generator per conjugate (base, i), held as its letter pair.
     conjugates: dict[tuple[Generator, int], tuple[Letter, Letter]] = {}

@@ -26,7 +26,7 @@ stored bound unless it is one of the changes.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, zip_longest
 from typing import Any, Iterator, Union
 
 from .presentations import Presentation
@@ -81,6 +81,32 @@ class _Node(_Record):
         """The bound the kind's rule gives from the child's stored bound
         (None for a leaf), ignoring this node's stored bound."""
         return self.bound_rule(None if self.child is None else self.child.bound)
+
+    # A record's equality, hash and repr would recurse through child:
+    # these take the chain node by node.
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self.__slots__ if n != "child"])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            a.__class__ is b.__class__ and a._values() == b._values()
+            for a, b in zip_longest(walk(self), walk(other))  # type: ignore[arg-type]
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple([node._values() for node in walk(self)]))
+
+    def __repr__(self) -> str:
+        heads, bounds = [], []
+        for node in walk(self):
+            names = [n for n in node.__slots__ if n not in ("child", "bound")]
+            own = ", ".join(f"{n}={getattr(node, n)!r}" for n in names)
+            heads.append(f"{type(node).__qualname__}({own}, ")
+            bounds.append(f"bound={node.bound!r})")
+        return "child=".join(heads) + ", ".join(reversed(bounds))
 
 
 class FreeLeaf(_Node):

@@ -1,7 +1,7 @@
 """Exact word arithmetic in finitely generated free groups.
 
-Generators are atoms made only by a Registry, never identified by
-display name: a generator is equal only to itself.
+Generators are atoms, made by a Registry or a certificate reader and
+never identified by display name: a generator is equal only to itself.
 Words are immutable sequences of signed letters; every operation is
 pure.  The only mutable object is the Registry.  No code path in the
 package is concurrent; a registry belongs to one pipeline at a time.
@@ -113,11 +113,11 @@ class _Record:
 class Generator(_Record):
     """A generator atom, equal only to itself.
 
-    A Registry makes every atom.  Equality and hashing are object's own,
-    so set and dict lookups and comparisons of letters run without
-    calling back into Python.  Two atoms may share a display name; a
-    certificate identifies generators by name, so the engine keeps the
-    names within one chain distinct.
+    A Registry or a certificate reader makes every atom.  Equality and
+    hashing are object's own, so set and dict lookups and comparisons of
+    letters run without calling back into Python.  Two atoms may share a
+    display name; a certificate identifies generators by name, so the
+    engine keeps the names within one chain distinct.
     """
 
     __slots__ = ("name",)

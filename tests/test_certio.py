@@ -19,6 +19,7 @@ from asdim import (
     FreeSplit,
     Generator,
     HnnStep,
+    Letter,
     Presentation,
     Registry,
     Word,
@@ -32,7 +33,9 @@ from asdim import (
     verify_certificate,
     walk,
 )
+from asdim import presentations
 from asdim.sampling import random_cyclically_reduced_word
+from oracles import naive_word
 
 EXAMPLES = (
     "< a | a^4 >",
@@ -230,11 +233,12 @@ class TestRoundTrip:
         doc = emit_certificate(build(text))
         assert verify_certificate(parse_certificate(doc)).ok
 
-    def test_parse_into_caller_registry(self):
+    def test_one_generator_per_name_in_a_document(self):
         doc = emit_certificate(build("< a, b | a^3 >"))
-        reg = Registry()
-        node = parse_certificate(doc, reg)
-        assert node.presentation.generators[0].name == "a"
+        node = parse_certificate(doc)
+        a = node.presentation.generators[0]
+        assert a.name == "a"
+        assert node.child.presentation.generators == (a,)
 
 
 class TestParseErrors:
@@ -295,6 +299,155 @@ class TestParseErrors:
         doc = json.loads(emit_certificate(build("< a | a^2 >")))
         doc["root"]["presentation"] = "< a | "
         with pytest.raises(CertificateError):
+            parse_certificate(json.dumps(doc))
+
+
+def spelling(word):
+    return tuple((l.gen.name, l.sign) for l in word.letters)
+
+
+HNN_DOC = emit_certificate(build("< a, b | a b a^-1 b^-1 >"))
+
+
+def read_word(text):
+    """text read as the rewritten word of a case1_hnn document."""
+    doc = json.loads(HNN_DOC)
+    doc["root"]["rewritten"] = text
+    return parse_certificate(json.dumps(doc)).rewritten
+
+
+def read_presentation(text):
+    """text read as the presentation of a free_leaf document."""
+    leaf = {"kind": "free_leaf", "presentation": text, "bound": 0, "rank": 0}
+    doc = {"schema_version": 1, "root": leaf}
+    return parse_certificate(json.dumps(doc)).presentation
+
+
+# Plain names, and names with the "@" and "#" segments the engine adds.
+NAMES = ("a", "b", "x1", "g_2", "Zz", "b@-3", "b@0", "t#1", "b#1", "c@2#1")
+
+
+@st.composite
+def spelled_words(draw, gen_names):
+    """(name, sign) letters over a few of gen_names, with runs."""
+    if not gen_names:
+        return []
+    alphabet = draw(st.lists(st.sampled_from(gen_names), min_size=1, max_size=3))
+    letter = st.tuples(st.sampled_from(alphabet), st.sampled_from((1, -1)))
+    return draw(st.lists(letter, max_size=16))
+
+
+class TestReader:
+    """The reader takes words and presentations exactly as format_word and
+    format_presentation write them, over plain and engine names."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spelled_words(NAMES))
+    def test_word_round_trip_keeps_every_letter(self, spelled):
+        gens = {name: Registry().declare(name) for name in NAMES}
+        text = format_word(Word(tuple(Letter(gens[n], e) for n, e in spelled)))
+        assert spelling(read_word(text)) == tuple(spelled) == tuple(naive_word(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_presentation_round_trip(self, data):
+        gen_names = data.draw(st.lists(st.sampled_from(NAMES), max_size=4, unique=True))
+        gens = {name: Registry().declare(name) for name in gen_names}
+        spelled = data.draw(spelled_words(gen_names))
+        p = Presentation(
+            tuple(gens.values()), Word(tuple(Letter(gens[n], e) for n, e in spelled))
+        )
+        text = format_presentation(p)
+        q = read_presentation(text)
+        assert [g.name for g in q.generators] == gen_names
+        assert spelling(q.relator) == spelling(p.relator)
+        assert format_presentation(q) == text
+
+    def test_word_fields_do_not_cancel(self):
+        assert spelling(read_word("a b b^-1 a^-1 a^2 a^-2")) == (
+            ("a", 1), ("b", 1), ("b", -1), ("a", -1),
+            ("a", 1), ("a", 1), ("a", -1), ("a", -1),
+        )
+
+    def test_relator_is_reduced(self):
+        assert spelling(read_presentation("< a, b | b a^2 a^-2 b^-1 a >").relator) == (
+            ("a", 1),
+        )
+
+    def test_empty_generator_list(self):
+        p = read_presentation("< | 1 >")
+        assert p.generators == ()
+        assert format_presentation(p) == "< | 1 >"
+
+    def test_stacked_engine_names(self):
+        p = read_presentation("< c@2#1, b@-3, t#1 | c@2#1^2 b@-3 t#1^-1 >")
+        assert [g.name for g in p.generators] == ["c@2#1", "b@-3", "t#1"]
+        assert spelling(p.relator) == (
+            ("c@2#1", 1), ("c@2#1", 1), ("b@-3", 1), ("t#1", -1),
+        )
+
+    def test_word_letters_count_as_written(self, monkeypatch):
+        monkeypatch.setattr(presentations, "MAX_LETTERS", 12)
+        assert len(read_word("a^6 a^-6")) == 12
+        with pytest.raises(CertificateError, match="more than 12 letters"):
+            read_word("a^6 b a^-6")
+        assert len(read_presentation("< a, b | a^7 a^-7 b >").relator) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a\tb",
+            "a  b",
+            " a",
+            "a ",
+            "",
+            "[a, b]",
+            "a^0",
+            "a^+2",
+            "a^-0",
+            "a^02",
+            "a^",
+            "a^ 2",
+            "1 a",
+            "a#",
+            "a^10000001",
+            "a^9999999 b a",
+        ],
+    )
+    def test_non_canonical_word_is_rejected(self, text):
+        with pytest.raises(CertificateError):
+            read_word(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "< a | a\tb >",
+            "< a |  a >",
+            "<  | 1 >",
+            "< a,b | a >",
+            "< a , b | a >",
+            "<a | a>",
+            "a | a",
+            "< a | [a, a] >",
+            "< a | a^0 >",
+            "< a | a^+2 >",
+            "< a | a >\n",
+            "< a | 1 1 >",
+            "< a | b >",
+            "< a, a | a >",
+            "< a@ | a >",
+            "< a | a^10000001 >",
+        ],
+    )
+    def test_non_canonical_presentation_is_rejected(self, text):
+        with pytest.raises(CertificateError):
+            read_presentation(text)
+
+    @pytest.mark.parametrize("name", ["", "b@", "1a", "a b", "[a"])
+    def test_generator_field_must_be_a_name(self, name):
+        doc = json.loads(HNN_DOC)
+        doc["root"]["stable"] = name
+        with pytest.raises(CertificateError, match="not a generator name"):
             parse_certificate(json.dumps(doc))
 
 

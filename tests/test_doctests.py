@@ -1,8 +1,9 @@
-"""Run the usage examples embedded in docstrings."""
+"""Run the usage examples embedded in docstrings and in the README."""
 
 from __future__ import annotations
 
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +32,9 @@ MODULES = (
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    failures, tried = doctest.testfile(str(readme), module_relative=False)
+    assert tried > 0 and failures == 0

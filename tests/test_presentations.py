@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,13 +18,14 @@ from asdim import (
     Registry,
     UnknownGeneratorError,
     Word,
+    build_tower,
+    emit_certificate,
     format_presentation,
     letters_of,
     parse_certificate,
     parse_presentation,
-    parse_word,
 )
-from oracles import naive_parse, naive_word
+from oracles import naive_parse
 
 
 def names(word):
@@ -79,18 +82,15 @@ class TestParsing:
         p = parse_presentation("< a, b | b a^3 b^-1 a^-3 >")
         assert len(p.relator) == 8
 
-    def test_extended_names_opt_in(self):
-        p = parse_presentation(
-            "< t#1, b#1 | b#1 t#1^-3 b#1 t#1^3 >", intern=Registry().declare
-        )
-        assert tuple(g.name for g in p.generators) == ("t#1", "b#1")
-        assert len(p.relator) == 8
-        with pytest.raises(ParseError):
+    def test_engine_names_are_rejected(self):
+        with pytest.raises(ParseError) as exc:
             parse_presentation("< t#1, b#1 | b#1 >")
+        assert exc.value.position == 3
 
-    def test_subscripted_names_opt_in(self):
-        p = parse_presentation("< b@-3, b@0 | b@0 b@-3 >", intern=Registry().declare)
-        assert tuple(g.name for g in p.generators) == ("b@-3", "b@0")
+    def test_subscripted_names_are_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_presentation("< b, b@0 | b@0 b >")
+        assert exc.value.position == 6
 
 
 class TestErrors:
@@ -107,9 +107,6 @@ class TestErrors:
     def test_empty_generator_list(self):
         with pytest.raises(EmptyGeneratorsError):
             parse_presentation("< | 1 >")
-        p = parse_presentation("< | 1 >", intern=Registry().declare)
-        assert p.generators == ()
-        assert format_presentation(p) == "< | 1 >"
 
     def test_trailing_comma(self):
         with pytest.raises(ParseError):
@@ -192,14 +189,6 @@ class TestLetterLimit:
             parse_presentation("< a, b | [a, b]^2 [b, a]^2 >")
         assert exc.value.position == 18
 
-    def test_bare_words_count_as_written(self, limit):
-        reg = Registry()
-        resolve = lambda name, pos: reg.declare(name)  # noqa: E731
-        assert len(parse_word("a^6 a^-6", resolve)) == 12
-        with pytest.raises(ParseError) as exc:
-            parse_word("a^6 b a^-6", resolve)
-        assert exc.value.position == 6
-
     def test_too_many_digits(self):
         for text in ("< a | a^" + "9" * 5000 + " >", "< a, b | [a, b]^" + "9" * 5000 + " >"):
             with pytest.raises(ParseError, match="too many digits"):
@@ -248,12 +237,6 @@ class TestFormatting:
         p = parse_presentation("< u, v | u u v v v >")
         assert format_presentation(p) == "< u, v | u^2 v^3 >"
 
-    def test_parse_word_standalone(self):
-        reg = Registry()
-        a = reg.declare("a")
-        word = parse_word("a^2", lambda name, pos: a)
-        assert names(word) == (("a", 1), ("a", 1))
-
     @given(st.data())
     def test_format_parse_round_trip(self, data):
         reg = Registry()
@@ -270,7 +253,6 @@ class TestFormatting:
 
 
 PLAIN_NAMES = ("a", "b", "x1", "g_2", "Zz")
-ENGINE_NAMES = ("b@-3", "b@0", "t#1", "b#1", "c@2#1")
 SPACE = st.sampled_from(("", " ", "\t", "  ", "\n"))
 GAP = st.sampled_from((" ", "  ", "\t", "\n", " \n\t "))
 
@@ -287,11 +269,11 @@ def power_text(draw):
 
 @st.composite
 def presentation_text(draw):
-    """Well-formed presentation text over plain and engine names, with
-    zero, negative and commutator powers and varied whitespace."""
+    """Well-formed presentation text, with zero, negative and commutator
+    powers and varied whitespace."""
     gen_names = draw(
         st.lists(
-            st.sampled_from(PLAIN_NAMES + ENGINE_NAMES),
+            st.sampled_from(PLAIN_NAMES),
             min_size=1,
             max_size=4,
             unique=True,
@@ -317,33 +299,8 @@ class TestScannerAgainstNaiveParse:
     @settings(max_examples=300, deadline=None)
     @given(presentation_text())
     def test_relator_matches_the_character_level_oracle(self, case):
-        text, body = case
-        p = parse_presentation(text, intern=Registry().declare)
-        assert names(p.relator) == tuple(naive_parse(text))
-        if not any(c in text for c in "@#"):
-            assert names(parse_presentation(text).relator) == names(p.relator)
-
-    @settings(max_examples=300, deadline=None)
-    @given(presentation_text())
-    def test_parse_word_keeps_every_letter(self, case):
-        _, body = case
-        reg = Registry()
-        table = {}
-
-        def resolve(name, pos):
-            return table.setdefault(name, reg.declare(name))
-
-        word = parse_word(body, resolve)
-        assert names(word) == tuple(naive_word(body))
-
-    def test_parse_word_does_not_cancel(self):
-        reg = Registry()
-        a, b = reg.declare("a"), reg.declare("b")
-        word = parse_word("a b b^-1 a^-1 [a, a]", lambda name, pos: {"a": a, "b": b}[name])
-        assert names(word) == (
-            ("a", 1), ("b", 1), ("b", -1), ("a", -1),
-            ("a", 1), ("a", 1), ("a", -1), ("a", -1),
-        )
+        text, _ = case
+        assert names(parse_presentation(text).relator) == tuple(naive_parse(text))
 
     def test_engine_name_rejected_in_plain_relator(self):
         with pytest.raises(ParseError) as exc:
@@ -359,26 +316,34 @@ TOKENS = (
 )
 
 
+# A certificate in which TestFuzz puts text as a presentation and as a word.
+_reg = Registry()
+HNN_CERT = emit_certificate(
+    build_tower(parse_presentation("< a, b | [a, b] >", _reg), _reg)
+)
+
+
 class TestFuzz:
-    """Any text either parses or raises ParseError (CertificateError for
-    certificates), never another exception."""
+    """Any text either parses or raises ParseError, and any text as a
+    certificate, or as a presentation or word inside one, parses or raises
+    CertificateError: never another exception."""
 
     @staticmethod
     def check(text):
-        for intern in (None, Registry().declare):
-            try:
-                parse_presentation(text, intern=intern)
-            except ParseError:
-                pass
-        reg = Registry()
         try:
-            parse_word(text, lambda name, pos: reg.declare(name))
+            parse_presentation(text)
         except ParseError:
             pass
-        try:
-            parse_certificate(text)
-        except CertificateError:
-            pass
+        docs = [text]
+        for key in ("presentation", "rewritten"):
+            doc = json.loads(HNN_CERT)
+            doc["root"][key] = text
+            docs.append(json.dumps(doc))
+        for doc in docs:
+            try:
+                parse_certificate(doc)
+            except CertificateError:
+                pass
 
     def test_power_digits_are_ascii(self):
         with pytest.raises(ParseError):

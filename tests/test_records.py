@@ -204,3 +204,38 @@ def test_repr_matches_the_dataclass_repr():
         "BoundReport(length_bound=3, tower_bound=2, hnn_steps=1, node_count=3)"
     )
     assert repr(VerificationReport(())) == "VerificationReport(violations=())"
+
+
+class TestDeepChain:
+    """Equality, hashing and repr loop over a chain: on the 1,201-node
+    chain of < a, b | b^-1 a^600 b^-1 a^600 > each returns."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        root = build("< a, b | b^-1 a^600 b^-1 a^600 >")
+        # A copy made node by node, so that comparing it walks the chain.
+        copy = None
+        for node in reversed(list(walk(root))):
+            copy = node._replace() if copy is None else node._replace(child=copy)
+        return root, copy
+
+    def test_equal_and_hash_equal(self, chain):
+        root, copy = chain
+        assert copy is not root and copy.child is not root.child
+        assert copy == root and not copy != root
+        assert hash(copy) == hash(root)
+
+    def test_a_change_at_the_leaf_is_seen(self, chain):
+        root, _ = chain
+        nodes = list(walk(root))
+        changed = nodes[-1]._replace(bound=nodes[-1].bound + 1)
+        for node in reversed(nodes[:-1]):
+            changed = node._replace(child=changed)
+        assert changed != root
+
+    def test_repr_nests_every_node(self, chain):
+        root, _ = chain
+        text = repr(root)
+        assert text.startswith("EmbedStep(presentation=Presentation('< a, b |")
+        assert text.count("child=") == 1200
+        assert text.endswith(", bound=2)")

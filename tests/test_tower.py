@@ -14,11 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asdim import (
+    EMPTY_WORD,
     CyclicLeaf,
     EmbedStep,
     FreeLeaf,
     FreeSplit,
     HnnStep,
+    Presentation,
     Registry,
     SingleElim,
     all_towers,
@@ -93,9 +95,7 @@ class TestGuardOrder:
         assert root.bound == 1
 
     def test_zero_generator_trivial_group(self):
-        reg = Registry()
-        p = parse_presentation("< | 1 >", intern=reg.declare)
-        root = build_tower(p, reg)
+        root = build_tower(Presentation((), EMPTY_WORD))
         assert isinstance(root, FreeLeaf)
         assert (root.rank, root.bound) == (0, 0)
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from asdim import (
     HnnStep,
+    Letter,
+    Presentation,
     Registry,
     Word,
     build_tower,
@@ -29,6 +31,15 @@ def build(text):
     reg = Registry()
     p = parse_presentation(text, reg)
     return build_tower(p, reg)
+
+
+def spelled(*letters):
+    """The word of (generator, sign) letters."""
+    return Word(tuple(Letter(g, e) for g, e in letters))
+
+
+def checks(root):
+    return [v.check for v in verify_certificate(root).violations]
 
 
 EXAMPLES = (
@@ -95,6 +106,36 @@ class TestTamperDetection:
             "image",
             "image carrier",
             "inner generators",
+        ]
+
+    def test_free_leaf_on_a_longer_relator_is_caught(self):
+        root = build("< a, b | 1 >")
+        a, b = root.presentation.generators
+        bad = root._replace(presentation=Presentation((a, b), spelled((a, 1), (b, 1))))
+        assert checks(bad) == ["relator shape"]
+
+    def test_cyclic_leaf_on_two_generators_is_caught(self):
+        root = build("< a | a^4 >")
+        gens = root.presentation.generators + (Registry().declare("c"),)
+        bad = root._replace(presentation=Presentation(gens, root.presentation.relator))
+        assert checks(bad) == ["relator shape"]
+
+    def test_cyclic_leaf_of_order_one_is_caught(self):
+        root = build("< a | a^4 >")
+        (a,) = root.presentation.generators
+        bad = root._replace(presentation=Presentation((a,), spelled((a, 1))), order=1)
+        assert checks(bad) == ["order"]
+
+    def test_hnn_child_not_shorter_is_caught(self):
+        # Parent a b^-2: the child b@1 b@0^-1 is not two letters shorter.
+        root = build("< a, b | a b a^-1 b^-1 >")
+        a, b = root.presentation.generators
+        parent = Presentation((a, b), spelled((a, 1), (b, -1), (b, -1)))
+        assert checks(root._replace(presentation=parent)) == [
+            "stable exponent",
+            "stable occurrences",
+            "expansion",
+            "length",
         ]
 
     def test_violation_reports_are_printable(self):
