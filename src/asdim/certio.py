@@ -24,6 +24,13 @@ write: a word is "1" or name and name^e tokens separated by single
 spaces, a presentation "< names | word >".  Anything else is a
 CertificateError.  Word fields keep their letters as written; a relator
 is folded on runs, as by parse_presentation, under the same MAX_LETTERS.
+
+Each relator text is read once per document: v1 restates a child's
+relator as its parent's rewritten or image word.  The reader keeps the
+letters of a relator text whose runs are folded as written, and a later
+relator or word field with that text shares them; a text whose runs
+still fold, such as "b@0 b@0^-1", is read afresh, as its letters as
+written and as a relator differ.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .tower import (
     SingleElim,
     walk,
 )
-from .words import Generator, Letter, Word, fold_runs, format_word
+from .words import Generator, Letter, Word, fold_runs, format_word, letter_pair
 
 __all__ = [
     "CertificateError",
@@ -69,10 +76,15 @@ class CertificateError(ValueError):
     """The document is not a well-formed certificate."""
 
 
+_MISSING = object()
+
+
 def _need(d: dict[str, Any], key: str, kind: type) -> Any:
-    if key not in d:
+    value = d.get(key, _MISSING)
+    if type(value) is kind:
+        return value
+    if value is _MISSING:
         raise CertificateError(f"missing field {key!r}")
-    value = d[key]
     if kind is int and isinstance(value, bool):
         raise CertificateError(f"field {key!r} must be an integer")
     if not isinstance(value, kind):
@@ -81,48 +93,56 @@ def _need(d: dict[str, Any], key: str, kind: type) -> Any:
 
 
 _NAME = re.compile(_IDENT)
-# A word's token: a name, and its power unless that is 1.
-_TOKEN = re.compile(rf"({_IDENT})(?:\^(-?[1-9][0-9]*))?")
+# A word's tokens, each a name and its power unless that is 1.
+_TOKEN = rf"{_IDENT}(?:\^-?[1-9][0-9]*)?"
+_WORD_TEXT = re.compile(rf"{_TOKEN}(?: {_TOKEN})*")
 _PRESENTATION = re.compile(r"< (?:(.*?) )?\| (.*) >")
 
 
 class _Reader:
     """Reads the fields of one document.  Generator identity is by display
     name throughout the document, so every name is interned once, as its
-    letter pair."""
+    letter pair.  reduced maps each relator text whose runs are folded as
+    written to its letters."""
 
     def __init__(self) -> None:
         self.pairs: dict[str, _Pair] = {}
+        self.reduced: dict[str, tuple[Letter, ...]] = {}
 
-    def pair(self, name: str) -> _Pair:
+    def add(self, name: str) -> _Pair:
+        """The letter pair of a new name that a pattern has checked."""
+        pair = self.pairs[name] = letter_pair(Generator(name))
+        return pair
+
+    def intern(self, name: str) -> Generator:
         pair = self.pairs.get(name)
         if pair is None:
             if _NAME.fullmatch(name) is None:
                 raise CertificateError(f"not a generator name: {name!r}")
-            g = Generator(name)
-            pair = self.pairs[name] = (Letter(g, 1), Letter(g, -1))
-        return pair
-
-    def intern(self, name: str) -> Generator:
-        return self.pair(name)[0].gen
+            pair = self.add(name)
+        return pair[0].gen
 
     def runs(self, text: str) -> list[_Run]:
         """A word's runs, one per token, as (pair, exponent, position)."""
         if text == "1":
             return []
+        if _WORD_TEXT.fullmatch(text) is None:
+            raise CertificateError(f"malformed word {text!r}")
+        pairs = self.pairs
         runs = []
         at = 0
         for token in text.split(" "):
-            m = _TOKEN.fullmatch(token)
-            if m is None:
-                raise CertificateError(f"malformed word {text!r}")
-            name, e = m.groups()
-            runs.append((self.pair(name), int(e or 1), at))
+            name, _, e = token.partition("^")
+            runs.append((pairs.get(name) or self.add(name), int(e) if e else 1, at))
             at += len(token) + 1
         return runs
 
     def word(self, d: dict[str, Any], key: str) -> Word:
-        return Word(_expand(self.runs(_need(d, key, str))))
+        text = _need(d, key, str)
+        letters = self.reduced.get(text)
+        if letters is not None:
+            return Word(letters, reduced=True)
+        return Word(_expand(self.runs(text)))
 
     def presentation(self, d: dict[str, Any]) -> Presentation:
         text = _need(d, "presentation", str)
@@ -131,9 +151,15 @@ class _Reader:
             raise CertificateError(f"malformed presentation {text!r}")
         names, word = m.groups()
         gens = () if names is None else tuple(map(self.intern, names.split(", ")))
-        # Adjacent folded runs have distinct generators and nonzero
-        # exponents, so their letters are reduced.
-        letters = _expand(fold_runs(self.runs(word)))
+        letters = self.reduced.get(word)
+        if letters is None:
+            runs = self.runs(word)
+            folded = fold_runs(runs)
+            # Adjacent folded runs have distinct generators and nonzero
+            # exponents, so their letters are reduced.
+            letters = _expand(folded)
+            if len(folded) == len(runs):
+                self.reduced[word] = letters
         return Presentation(gens, Word(letters, reduced=True))
 
     def renaming(self, d: dict[str, Any], key: str) -> tuple[RenameEntry, ...]:
@@ -204,19 +230,11 @@ _SHARED = ("presentation", "child", "bound")
 _OWN = {c: [(k, _CODECS[k]) for k in c.__slots__ if k not in _SHARED] for c in _KINDS}
 
 
-def _fields(node: Node) -> dict[str, Any]:
-    """The node's v1 object without its link to the next node."""
+def _own(node: Node) -> list[tuple[str, _Codec]]:
     own = _OWN.get(type(node))
     if own is None:
         raise TypeError(f"not a certificate node: {node!r}")
-    fields = {
-        "kind": node.kind,
-        "presentation": format_presentation(node.presentation),
-        "bound": node.bound,
-    }
-    for key, codec in own:
-        fields[key] = codec.write(getattr(node, key))
-    return fields
+    return own
 
 
 def _json(value: Any, pad: str) -> str:
@@ -239,13 +257,19 @@ def emit_certificate(root: Node) -> str:
     limit."""
     parts = [f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "root": ']
     for depth, node in enumerate(walk(root), 1):
+        own = _own(node)
         pad = "\n" + "  " * (depth + 1)
+        presentation = encode_basestring_ascii(format_presentation(node.presentation))
+        # Keys are slot names, which JSON writes as they are.
         items = [
-            f"{encode_basestring_ascii(k)}: {_json(v, pad)}"
-            for k, v in _fields(node).items()
+            f'"kind": "{node.kind}"',
+            f'"presentation": {presentation}',
+            f'"bound": {node.bound:d}',
         ]
+        for key, codec in own:
+            items.append(f'"{key}": {_json(codec.write(getattr(node, key)), pad)}')
         if node.child is not None:
-            items.append(encode_basestring_ascii(_KINDS[type(node)].link) + ": ")
+            items.append(f'"{_KINDS[type(node)].link}": ')
         parts.append("{" + pad + ("," + pad).join(items))
     # Close the innermost node's object first and the document last.
     parts.extend("\n" + "  " * d + "}" for d in range(depth, -1, -1))
@@ -306,10 +330,10 @@ def _from_objects(d: dict[str, Any], rd: _Reader) -> Node:
 def render_tree(root: Node) -> str:
     lines = []
     for depth, node in enumerate(walk(root)):
-        f = _fields(node)
+        f = {key: codec.write(getattr(node, key)) for key, codec in _own(node)}
         headline = _KINDS[type(node)].headline.format(**f)
         lines.append(
             f"{'  ' * depth}{node.kind}  bound={node.bound}  {headline}"
-            f"  {f['presentation']}"
+            f"  {format_presentation(node.presentation)}"
         )
     return "\n".join(lines)

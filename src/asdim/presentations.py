@@ -50,6 +50,7 @@ from .words import (
     cyclic_reduce,
     fold_runs,
     format_word,
+    letter_pair,
 )
 
 __all__ = [
@@ -243,7 +244,7 @@ def parse_presentation(text: str, registry: Registry | None = None) -> Presentat
         _check_name(name, at)
         g = declare(name)
         gens.append(g)
-        pairs[name] = (Letter(g, 1), Letter(g, -1))
+        pairs[name] = letter_pair(g)
         pos = m.end()
         if not text.startswith(",", pos):
             break

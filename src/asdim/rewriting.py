@@ -39,6 +39,7 @@ from .words import (
     cyclic_reduce,
     exponent_sum,
     generator_power,
+    letter_pair,
     occurrence_count,
     single,
     substitute,
@@ -149,7 +150,7 @@ def hnn_rewrite(
         pair = conjugates.get((l.gen, acc))
         if pair is None:
             g = registry.declare(f"{l.gen.name}@{acc}")
-            pair = conjugates[l.gen, acc] = (Letter(g, 1), Letter(g, -1))
+            pair = conjugates[l.gen, acc] = letter_pair(g)
         emitted.append(pair[l.sign < 0])
     assert acc == 0
 

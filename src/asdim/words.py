@@ -16,7 +16,6 @@ is a copy of x with the named fields changed, as on a NamedTuple.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -33,6 +32,7 @@ __all__ = [
     "format_word",
     "generator_power",
     "inverse",
+    "letter_pair",
     "occurrence_count",
     "reduce_word",
     "single",
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _set = object.__setattr__
+_new = tuple.__new__
 
 
 class _Record:
@@ -124,6 +125,9 @@ class Generator(_Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
     def __repr__(self) -> str:
         return self.name
 
@@ -136,6 +140,12 @@ class Letter(NamedTuple):
 
     def inverse(self) -> "Letter":
         return Letter(self.gen, -self.sign)
+
+
+def letter_pair(g: Generator) -> tuple[Letter, Letter]:
+    """The letters g and g^-1, made by tuple.__new__ without the
+    Python-level __new__ that a NamedTuple call runs."""
+    return _new(Letter, (g, 1)), _new(Letter, (g, -1))
 
 
 class Word(_Record):
@@ -177,7 +187,7 @@ EMPTY_WORD = Word((), reduced=True)
 
 
 def single(gen: Generator, sign: int = 1) -> Word:
-    return Word((Letter(gen, sign),), reduced=True)
+    return Word((_new(Letter, (gen, sign)),), reduced=True)
 
 
 def generator_power(gen: Generator, n: int) -> Word:
@@ -187,7 +197,7 @@ def generator_power(gen: Generator, n: int) -> Word:
     >>> format_word(generator_power(t, -2))
     't^-2'
     """
-    return Word((Letter(gen, 1 if n >= 0 else -1),) * abs(n), reduced=True)
+    return Word((_new(Letter, (gen, 1 if n >= 0 else -1)),) * abs(n), reduced=True)
 
 
 def concat(*words: Word) -> Word:
@@ -202,7 +212,8 @@ def concat(*words: Word) -> Word:
 
 def inverse(w: Word) -> Word:
     """The group inverse: letters reversed, signs flipped."""
-    return Word(tuple(l.inverse() for l in reversed(w.letters)), reduced=w.reduced)
+    letters = [_new(Letter, (g, -sign)) for g, sign in reversed(w.letters)]
+    return Word(tuple(letters), reduced=w.reduced)
 
 
 def reduce_word(w: Word) -> Word:
@@ -273,11 +284,13 @@ def cyclic_reduce(w: Word) -> Word:
 
 
 def exponent_sum(w: Word, gen: Generator) -> int:
-    return w.letters.count(Letter(gen, 1)) - w.letters.count(Letter(gen, -1))
+    x, x_inv = letter_pair(gen)
+    return w.letters.count(x) - w.letters.count(x_inv)
 
 
 def occurrence_count(w: Word, gen: Generator) -> int:
-    return w.letters.count(Letter(gen, 1)) + w.letters.count(Letter(gen, -1))
+    x, x_inv = letter_pair(gen)
+    return w.letters.count(x) + w.letters.count(x_inv)
 
 
 def substitute(w: Word, images: Mapping[Generator, Word]) -> Word:
@@ -344,14 +357,23 @@ def _occurs_in(pattern: tuple, text: tuple) -> bool:
 def format_word(w: Word) -> str:
     """Render a word in the presentation grammar, runs collapsed to powers.
 
-    The empty word renders as "1".
+    The empty word renders as "1".  One loop over the letters counts the
+    current run and writes it when a different letter starts the next.
     """
-    if not w.letters:
+    letters = w.letters
+    if not letters:
         return "1"
     parts: list[str] = []
-    for (gen, sign), run in itertools.groupby(w.letters):
-        e = sign * len(list(run))
-        parts.append(gen.name if e == 1 else f"{gen.name}^{e}")
+    run, n = letters[0], 0
+    for l in letters:
+        if l == run:
+            n += 1
+            continue
+        e = run.sign * n
+        parts.append(run.gen.name if e == 1 else f"{run.gen.name}^{e}")
+        run, n = l, 1
+    e = run.sign * n
+    parts.append(run.gen.name if e == 1 else f"{run.gen.name}^{e}")
     return " ".join(parts)
 
 

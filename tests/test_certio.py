@@ -4,6 +4,7 @@ and tree rendering."""
 from __future__ import annotations
 
 import json
+import re
 import sys
 from random import Random
 
@@ -27,6 +28,7 @@ from asdim import (
     emit_certificate,
     format_presentation,
     format_word,
+    inverse,
     parse_certificate,
     parse_presentation,
     render_tree,
@@ -145,7 +147,9 @@ ODD_NAMES = ("a", "b", "\u00e9", 'q"', "back\\slash", "\u2603", "t\n")
 def chains(draw):
     """Built chains: a random presentation (some with names that JSON
     escapes) or the deep family for k <= 10, optionally cut at its first
-    HNN step with that step's renaming emptied."""
+    HNN step with that step's renaming emptied, or at its first HNN or
+    embedding step with that step's word (rewritten or image) inverted, so
+    that it is no longer the child's relator."""
     reg = Registry()
     if draw(st.booleans()):
         k = draw(st.integers(min_value=1, max_value=10))
@@ -161,6 +165,11 @@ def chains(draw):
         hnn = next((n for n in walk(root) if isinstance(n, HnnStep)), None)
         if hnn is not None:
             root = hnn._replace(renaming=())
+    elif draw(st.booleans()):
+        step = next((n for n in walk(root) if isinstance(n, (HnnStep, EmbedStep))), None)
+        if step is not None:
+            field = "rewritten" if isinstance(step, HnnStep) else "image"
+            root = step._replace(**{field: inverse(getattr(step, field))})
     return root
 
 
@@ -232,6 +241,15 @@ class TestRoundTrip:
     def test_parsed_certificate_verifies(self, text):
         doc = emit_certificate(build(text))
         assert verify_certificate(parse_certificate(doc)).ok
+
+    @pytest.mark.parametrize("text", EXAMPLES)
+    def test_parsed_words_share_the_child_relator_letters(self, text):
+        """By design: the reader reads each relator text once per document,
+        and a rewritten or image word with that text shares its letters."""
+        for node in walk(parse_certificate(emit_certificate(build(text)))):
+            if isinstance(node, (HnnStep, EmbedStep)):
+                word = node.rewritten if isinstance(node, HnnStep) else node.image
+                assert word.letters is node.child.presentation.relator.letters
 
     def test_one_generator_per_name_in_a_document(self):
         doc = emit_certificate(build("< a, b | a^3 >"))
@@ -369,6 +387,31 @@ class TestReader:
             ("a", 1), ("a", 1), ("a", -1), ("a", -1),
         )
 
+    def test_texts_that_fold_are_not_shared(self):
+        """A word field and a relator with the same text whose runs fold:
+        the word keeps its letters as written and the relator is reduced,
+        whichever the reader meets first."""
+        doc = json.loads(emit_certificate(build("< u, v | u^2 v^3 >")))
+        embed = doc["root"]
+        hnn = embed["inner"]
+        assert (embed["kind"], hnn["kind"]) == ("case2_embed", "case1_hnn")
+        # Read leaf up: the HNN node's presentation, then its rewritten
+        # word, then the embedding's presentation.
+        hnn["presentation"] = "< t#1, b#1 | b#1 t#1 t#1^-1 b#1 >"
+        hnn["rewritten"] = "u v v^-1 u"
+        embed["presentation"] = "< u, v | u v v^-1 u >"
+        embed["image"] = "b#1 t#1 t#1^-1 b#1"
+        node = parse_certificate(json.dumps(doc))
+        assert spelling(node.presentation.relator) == (("u", 1), ("u", 1))
+        assert spelling(node.image) == (
+            ("b#1", 1), ("t#1", 1), ("t#1", -1), ("b#1", 1),
+        )
+        hnn_node = node.child
+        assert spelling(hnn_node.presentation.relator) == (("b#1", 1), ("b#1", 1))
+        assert spelling(hnn_node.rewritten) == (
+            ("u", 1), ("v", 1), ("v", -1), ("u", 1),
+        )
+
     def test_relator_is_reduced(self):
         assert spelling(read_presentation("< a, b | b a^2 a^-2 b^-1 a >").relator) == (
             ("a", 1),
@@ -441,6 +484,15 @@ class TestReader:
     )
     def test_non_canonical_presentation_is_rejected(self, text):
         with pytest.raises(CertificateError):
+            read_presentation(text)
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [("< a,b | a >", "a,b"), ("< a, 1b | a >", "1b"), ("<  | 1 >", "")],
+    )
+    def test_bad_name_in_a_presentation_is_named(self, text, name):
+        message = re.escape(f"not a generator name: {name!r}")
+        with pytest.raises(CertificateError, match=message):
             read_presentation(text)
 
     @pytest.mark.parametrize("name", ["", "b@", "1a", "a b", "[a"])
